@@ -171,7 +171,7 @@ class FixVsCommutant(NamedTuple):
 def fix_equals_commutant(ch: KrausChannel, tol: float = DEFAULT_TOL) -> FixVsCommutant:
     """Compare the fixed-point set against the noise commutant; the two agree
     exactly for unital channels, and both facts are computed independently."""
-    if not ch.trace_preserving:
+    if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("fixed-point comparison requires a trace-preserving channel")
     comm = commutant(ch.operators, tol)
     fix = fixed_point_set(ch, tol)
@@ -405,7 +405,7 @@ def noiseless_subsystems(ch: KrausChannel, tol: float = DEFAULT_TOL, seed: int =
     """Blocks of the noise commutant with size at least 2, each with an
     encoder mapping an n x n density onto the ambient space (normalized
     ampliation on the multiplicity factor)."""
-    if not ch.trace_preserving:
+    if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("noiseless subsystems are stated for channels")
     if not classify(ch, tol).unital:
         raise NotUnitalError("noise-commutant protection requires a unital channel")

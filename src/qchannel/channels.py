@@ -29,11 +29,13 @@ from .qcore import basis_state, embed_single, gate
 class KrausChannel:
     """Ordered list of equal-shape noise operators defining rho -> sum E rho E†.
 
-    Instances are treated as immutable values; `trace_preserving` is decided
-    once at construction against the default tolerance.
+    Instances are treated as immutable values.  The trace-preservation
+    residual ||sum E†E - I||_F is computed once at construction;
+    `is_trace_preserving(tol)` compares it against tol * dim, and the
+    `trace_preserving` flag is that decision at the default tolerance.
     """
 
-    __slots__ = ("operators", "dim", "trace_preserving")
+    __slots__ = ("operators", "dim", "tp_residual", "trace_preserving")
 
     def __init__(self, operators: Sequence[np.ndarray]):
         ops = tuple(require_finite(np.asarray(e, dtype=complex), "Kraus operator") for e in operators)
@@ -45,7 +47,11 @@ class KrausChannel:
         self.operators = ops
         self.dim = int(n)
         total = sum(dagger(e) @ e for e in ops)
-        self.trace_preserving = frob(total - np.eye(n)) <= DEFAULT_TOL * n
+        self.tp_residual = frob(total - np.eye(n))
+        self.trace_preserving = self.is_trace_preserving(DEFAULT_TOL)
+
+    def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.tp_residual <= tol * self.dim
 
     def __call__(self, rho) -> np.ndarray:
         return apply_channel(self, rho)
@@ -99,7 +105,7 @@ def classify(ch_or_choi, tol: float = DEFAULT_TOL) -> Classification:
         ch = ch_or_choi
         n = ch.dim
         choi = choi_matrix(ch)
-        tp_gram = sum(dagger(e) @ e for e in ch.operators)
+        tp = ch.is_trace_preserving(tol)
         un_gram = sum(e @ dagger(e) for e in ch.operators)
     else:
         choi = np.asarray(ch_or_choi, dtype=complex)
@@ -109,13 +115,13 @@ def classify(ch_or_choi, tol: float = DEFAULT_TOL) -> Classification:
         tp_gram = np.array(
             [[np.trace(choi_block(choi, i, j)) for i in range(n)] for j in range(n)]
         )
+        tp = frob(tp_gram - np.eye(n)) <= tol * n
         un_gram = sum(choi_block(choi, i, i) for i in range(n))
     herm = (choi + dagger(choi)) / 2.0
     vals = np.linalg.eigvalsh(herm)
     cp = frob(choi - herm) <= tol * (1.0 + frob(choi)) and (
         vals.size == 0 or float(vals[0]) >= -tol * max(1.0, float(vals[-1]))
     )
-    tp = frob(tp_gram - np.eye(n)) <= tol * n
     unital = frob(un_gram - np.eye(n)) <= tol * n
     return Classification(bool(cp), bool(tp), bool(unital))
 

@@ -104,9 +104,9 @@ def polar(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition a = u @ p with u unitary and p = sqrt(a† a) PSD.
 
     On the support of p, u carries right singular vectors to left singular
-    vectors.  When a is singular the remaining columns of u are fixed
-    deterministically by extending the image basis with standard basis
-    vectors in index order.
+    vectors.  When a is singular the image columns for the kernel are
+    `complete_isometry` of the supported left singular vectors, a Householder
+    QR complement, so u is a deterministic function of the SVD.
     """
     a = as_operator(a)
     n = a.shape[0]
@@ -120,55 +120,20 @@ def polar(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
     support = sing > tol * smax if smax > 0 else np.zeros(n, dtype=bool)
     image_cols = np.array(left)
-    kernel = [i for i in range(n) if not support[i]]
-    if kernel:
-        completion = _complete_orthonormal([left[:, i] for i in range(n) if support[i]], n)
-        for w, i in zip(completion, kernel):
-            image_cols[:, i] = w
+    image_cols[:, ~support] = complete_isometry(left[:, support])
     u = image_cols @ vh
     return u, p
 
 
-def _complete_orthonormal(vectors, n: int) -> list[np.ndarray]:
-    """Extend orthonormal `vectors` to a basis of C^n using standard basis
-    vectors in index order."""
-    basis = np.zeros((n, n), dtype=complex)
-    basis_conj = np.zeros((n, n), dtype=complex)
-    count = len(vectors)
-    for i, v in enumerate(vectors):
-        basis[:, i] = v
-        basis_conj[:, i] = np.conj(v)
-    out = []
-    for j in range(n):
-        if count == n:
-            break
-        w = np.zeros(n, dtype=complex)
-        w[j] = 1.0
-        for _ in range(2):
-            w = w - basis[:, :count] @ (w @ basis_conj[:, :count])
-        norm = np.linalg.norm(w)
-        # 1/sqrt(n) lower-bounds the best residual, so this acceptance
-        # threshold cannot strand the sweep for n <= ~1e4.
-        if norm > 1e-2:
-            w = w / norm
-            basis[:, count] = w
-            basis_conj[:, count] = np.conj(w)
-            count += 1
-            out.append(w)
-    if count != n:
-        raise RuntimeError("orthonormal completion failed")  # pragma: no cover
-    return out
-
-
 def complete_isometry(v) -> np.ndarray:
-    """Columns extending an isometry's orthonormal columns to a full basis,
-    drawn from standard basis vectors in index order."""
+    """Orthonormal columns W with [v W] unitary, for v with orthonormal columns.
+
+    W is the trailing n - k columns of the complete Householder QR factor of
+    the n x k isometry v: deterministic for a given v, O(n^2 k) to form, and
+    orthogonal to range(v) to machine precision.
+    """
     v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    cols = _complete_orthonormal([v[:, j] for j in range(v.shape[1])], n)
-    if not cols:
-        return np.zeros((n, 0), dtype=complex)
-    return np.column_stack(cols)
+    return np.linalg.qr(v, mode="complete")[0][:, v.shape[1]:]
 
 
 def null_space_basis(a, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
@@ -184,7 +149,9 @@ def null_space_basis(a, tol: float = DEFAULT_TOL, scale: float | None = None) ->
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    # A tall constraint stack needs only the right singular vectors; the
+    # thin SVD skips the rows x rows U that the full one would build.
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
     smax = float(s[0]) if s.size else 0.0
     cutoff = tol * (smax if scale is None else max(smax, scale))
     rank = int(np.sum(s > cutoff)) if smax > 0 else 0

@@ -181,7 +181,8 @@ def correctability(code: QuantumCode, errors: Sequence[np.ndarray], tol: float =
         for j in range(r):
             m = dagger(compressed[i]) @ compressed[j]
             lam_ij = complex(np.trace(m)) / k
-            pair_norm = np.sqrt(max(0.0, float(np.trace(grams[i] @ grams[j]).real)))
+            # Each Gram matrix is Hermitian, so Tr(G_i G_j) = <G_i, G_j>_HS.
+            pair_norm = np.sqrt(max(0.0, float(np.vdot(grams[i], grams[j]).real)))
             if frob(m - lam_ij * np.eye(k)) > tol * (1.0 + pair_norm):
                 return CorrectabilityResult(False, None, (i, j))
             lam[i, j] = lam_ij
@@ -233,12 +234,17 @@ def build_recovery(
 ) -> RecoveryChannel:
     """Synthesize the recovery channel for a correctable error list.
 
-    Diagonalizes the scalar matrix, recombines the errors along its
-    eigenvectors, polar-decomposes each recombination against the code
-    projection, and returns the channel built from the mutually orthogonal
-    syndrome projections (completed with the leftover projector when needed).
-    Recombinations whose diagonal weight is below tolerance act as zero on the
-    code and are skipped.
+    Diagonalizes the scalar matrix and recombines the errors along its
+    eigenvectors.  On the code each recombination F_k acts as sqrt(d_k) times
+    an isometry C_k = F_k V / sqrt(d_k), which is all its polar unitary needs
+    to match there.  The syndrome unitary U_k is built inside span(V, C_k):
+    with Q the reduced QR factor of [V C_k] (at most 2K columns), a = Q† V and
+    b = Q† C_k, the small unitary M = b a† + W_b W_a† (W the `complete_isometry`
+    complements) gives U_k = I + Q (M - I) Q†, so U_k V = C_k and U_k fixes
+    the orthogonal complement of the span.  The channel is built from the
+    mutually orthogonal syndrome projections C_k C_k† (completed with the
+    leftover projector when needed).  Recombinations whose diagonal weight is
+    below tolerance act as zero on the code and are skipped.
     """
     errs = [np.asarray(e, dtype=complex) for e in errors]
     n = code.ambient_dim
@@ -265,10 +271,6 @@ def build_recovery(
 
     dvals, u = _sorted_eigh((lam + dagger(lam)) / 2.0)
     dmax = float(dvals[-1]) if dvals.size else 0.0
-    # The verified condition gives P F_k† F_k P = d_k P exactly, so the polar
-    # unitary of F_k P acts on the code as F_k V / sqrt(d_k); only the
-    # deterministic basis-index completion of kernel and image remains.
-    domain_completion = complete_isometry(v)
     unitaries = []
     syndromes = []  # isometries U_k V whose ranges are the syndrome subspaces
     weights = []
@@ -276,11 +278,14 @@ def build_recovery(
         d = float(dvals[idx])
         if d <= tol * max(1.0, dmax):
             continue
-        f = sum(u[i, idx] * errs[i] for i in range(r))
-        c, kept = orthonormal_columns(list((f @ v / np.sqrt(d)).T))
+        fv = sum(u[i, idx] * compressed[i] for i in range(r))  # F_k V, never F_k
+        c, kept = orthonormal_columns(list((fv / np.sqrt(d)).T))
         if len(kept) != k:
             raise ConditionViolatedError("recombined error collapses the code")  # pragma: no cover
-        unitaries.append(c @ dagger(v) + complete_isometry(c) @ dagger(domain_completion))
+        q, _ = np.linalg.qr(np.hstack([v, c]))
+        a, b = dagger(q) @ v, dagger(q) @ c
+        rotation = b @ dagger(a) + complete_isometry(b) @ dagger(complete_isometry(a))
+        unitaries.append(np.eye(n) + q @ (rotation - np.eye(len(rotation))) @ dagger(q))
         syndromes.append(c)
         weights.append(d)
 
@@ -314,7 +319,7 @@ def verify_recovery(
     restricted to the code, the deviation matrix lives in the joint column
     span, so compressing onto an orthonormal basis of that span is exact.
     """
-    if not channel.trace_preserving:
+    if not channel.is_trace_preserving(tol):
         raise NotTracePreservingError("recovery verification requires a trace-preserving channel")
     if channel.dim != code.ambient_dim:
         raise DimensionMismatchError("channel and code dimensions differ")

@@ -17,6 +17,7 @@ from qchannel.algebra import (
 )
 from qchannel.channels import (
     KrausChannel,
+    classify,
     amplitude_damping,
     apply_channel,
     bit_flip,
@@ -28,7 +29,7 @@ from qchannel.channels import (
     random_unitary_channel,
     zz_dephasing,
 )
-from qchannel.errors import NotAnAlgebraError, NotUnitalError
+from qchannel.errors import NotAnAlgebraError, NotTracePreservingError, NotUnitalError
 from qchannel.linalg import dagger, frob, haar_random_unitary, kron
 from qchannel.qcore import basis_state, gate, pure_density, random_density
 
@@ -191,6 +192,14 @@ class TestWedderburn:
         assert sum(n * n for _, n in structure.blocks) == space.dim
         assert structure_residual(space, structure) <= 1e-7
 
+    def test_collective_rotation_five_qubits(self):
+        # N = 32: the centre computation stacks 43008 x 42 constraints
+        space = commutant(collective_rotation(5).operators)
+        assert space.dim == 42
+        structure = wedderburn_structure(space)
+        assert sorted(structure.blocks) == [(2, 5), (4, 4), (6, 1)]
+        assert structure_residual(space, structure) <= 1e-7
+
     def test_structure_invariants_across_instances(self):
         for name, ch in unital_instances():
             space = commutant(ch.operators)
@@ -221,6 +230,19 @@ class TestWedderburn:
 
 
 class TestNoiselessSubsystems:
+    def test_tolerance_reaches_trace_preservation(self):
+        # sum E†E = (1 + 1e-8) I: trace preserving at tol 1e-6, not at 1e-9
+        ch = KrausChannel([np.sqrt(1 + 1e-8) * e for e in zz_dephasing(0.25).operators])
+        assert classify(ch, 1e-6).trace_preserving
+        blocks = noiseless_subsystems(ch, tol=1e-6)
+        assert [(b.multiplicity, b.block_dim) for b in blocks] == [(1, 2), (1, 2)]
+        assert fix_equals_commutant(ch, tol=1e-6) == (True, True)
+        assert not classify(ch).trace_preserving
+        with pytest.raises(NotTracePreservingError):
+            noiseless_subsystems(ch)
+        with pytest.raises(NotTracePreservingError):
+            fix_equals_commutant(ch)
+
     def test_zz_dephasing(self):
         blocks = noiseless_subsystems(zz_dephasing(0.25))
         assert [(b.multiplicity, b.block_dim) for b in blocks] == [(1, 2), (1, 2)]

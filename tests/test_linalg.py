@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,21 @@ class TestNullSpace:
         assert ns.shape[1] == 6 - 3
         assert frob(a @ ns) <= 1e-9 * frob(a)
         assert frob(dagger(ns) @ ns - np.eye(ns.shape[1])) <= 1e-10
+
+    def test_tall_stack_skips_left_factor(self):
+        # a full-matrices SVD would allocate a 4000 x 4000 complex U (256 MB)
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4000, 8)) + 1j * rng.standard_normal((4000, 8))
+        a[:, 7] = a[:, 0] + a[:, 1]
+        tracemalloc.start()
+        try:
+            ns = null_space_basis(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert ns.shape == (8, 1)
+        assert frob(a @ ns) <= 1e-9 * frob(a)
 
 
 class TestHSInner:

@@ -239,6 +239,16 @@ class TestRecovery:
         with pytest.raises(ConditionViolatedError):
             build_recovery(code, errs, np.diag([1.0, 2.0, 3.0, 4.0]))
 
+    def test_verify_tolerance_reaches_trace_preservation(self):
+        code = builtin_code("repetition3")
+        errs = xflip_errors()
+        rec = build_recovery(code, errs, correctability(code, errs).lambda_matrix)
+        ch = KrausChannel([np.sqrt(1 + 1e-8) * np.eye(8)])
+        assert classify(ch, 1e-6).trace_preserving
+        assert verify_recovery(ch, rec, code, tol=1e-6) <= 1e-6
+        with pytest.raises(NotTracePreservingError):
+            verify_recovery(ch, rec, code)
+
     def test_verify_requires_tp_channel(self):
         code = builtin_code("repetition3")
         errs = xflip_errors()
