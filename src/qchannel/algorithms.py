@@ -116,10 +116,12 @@ def deutsch_jozsa(f: BooleanOracle) -> AlgorithmVerdict:
         raise WrongArityError(f"need k = 1, got k={f.k}")
     _check_promise(f)
     hm = hadamard_layer(f.m)
-    eye2 = np.eye(2)
-    circuit = kron(hm, eye2) @ oracle_unitary(f) @ kron(hm, gate("H"))
-    final = circuit @ basis_state(1, 2 ** (f.m + 1))
-    p_zeros = float(abs(final[0]) ** 2 + abs(final[1]) ** 2)
+    # Right to left on the state, never forming a 2^(m+1)-square circuit:
+    # (A x B) psi is A Psi B^T with Psi the 2^m x 2 reshape of psi, and H = H^T.
+    state = basis_state(1, 2 ** (f.m + 1))
+    state = (hm @ state.reshape(-1, 2) @ gate("H")).reshape(-1)
+    final = hm @ (oracle_unitary(f) @ state).reshape(-1, 2)
+    p_zeros = float(abs(final[0, 0]) ** 2 + abs(final[0, 1]) ** 2)
     if p_zeros >= 0.5:
         return AlgorithmVerdict("constant", p_zeros)
     return AlgorithmVerdict("balanced", 1.0 - p_zeros)

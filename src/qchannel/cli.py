@@ -12,6 +12,7 @@ catalogue name is also accepted when no such file exists.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -397,6 +398,17 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Paused GC: decoded inputs and reports are millions of acyclic [re, im] lists it would rescan.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(args) -> int:
     try:
         report = _HANDLERS[args.verb](args)
     except (InputError, OSError, json.JSONDecodeError) as exc:

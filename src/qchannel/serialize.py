@@ -8,6 +8,12 @@ channels as {"dim": N, "kraus": [Matrix, ...]} or a builtin spec
 {"m": m, "k": k, "table": [ints]}; Choi matrices as {"block_dim": N,
 "matrix": Matrix}.
 
+Each re and im may be a JSON integer or float.  Pair data is decoded
+bit-exactly, -0.0 included: well-formed pair lists go through one numpy
+array, and anything else is walked entry by entry to name the first bad
+pair.  NaN, infinities and integers too large for a double are rejected as
+not finite (a SchemaError, exit code 2 in the CLI).
+
 Reports are dumped compactly with insertion order preserved, and floats use
 Python's shortest round-trip representation, so identical inputs always
 produce byte-identical output.
@@ -31,22 +37,40 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 def _as_pair_list(values, what: str) -> np.ndarray:
     _require(isinstance(values, list), f"{what} must be a list")
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged or nested entries
+        arr = None
+    if arr is not None and arr.dtype.kind in "fiub" and arr.ndim == 2 and arr.shape[1] == 2:
+        arr = np.ascontiguousarray(arr, dtype=float)
+        if np.isfinite(arr).all():
+            # A view, not re + 1j*im: the sum would turn -0.0 real parts into +0.0.
+            return arr.view(complex).reshape(-1)
+    # Anything else (ragged, non-numeric or non-finite entries, ints beyond
+    # int64) is walked entry by entry, which also names the first bad pair.
     out = np.empty(len(values), dtype=complex)
     for i, pair in enumerate(values):
         _require(
             isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair),
             f"{what}[{i}] must be a [re, im] number pair",
         )
-        _require(all(math.isfinite(float(x)) for x in pair), f"{what}[{i}] is not finite")
+        _require(all(_is_finite(x) for x in pair), f"{what}[{i}] is not finite")
         out[i] = complex(float(pair[0]), float(pair[1]))
     return out
 
 
 def _pairs(a: np.ndarray) -> list[list[float]]:
     flat = np.asarray(a, dtype=complex).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in flat]
+    return np.column_stack((flat.real, flat.imag)).tolist()
 
 
 def matrix_to_json(a) -> dict:

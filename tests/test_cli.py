@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -167,3 +168,28 @@ def test_choi_and_kraus_from_choi_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, ["kraus-from-choi", "--choi", choi_file])
     assert code == 0
     assert json.loads(out)["operator_count"] == 2
+
+
+def test_oversized_integer_exits_2(tmp_path, capsys):
+    big = write(tmp_path / "big.json", {"rows": 1, "cols": 1, "data": [[10**400, 0]]})
+    code, out, err = run(capsys, ["detect", "--code", "builtin:shor9", "--error", big])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[0]) == {"error": "SchemaError", "message": "data[0] is not finite"}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    ("table", "verb", "expected"),
+    [([0, 1, 1, 0], "deutsch-jozsa", 0), ([0, 1, 0], "deutsch", 2), ([0, 0, 0, 1], "deutsch-jozsa", 3)],
+)
+def test_main_restores_gc_state(tmp_path, capsys, enabled, table, verb, expected):
+    oracle = write(tmp_path / "oracle.json", {"m": 2, "k": 1, "table": table})
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        code, _, _ = run(capsys, [verb, "--oracle", oracle])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert code == expected

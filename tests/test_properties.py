@@ -1,17 +1,24 @@
-"""Property tests for the completion kernels and Knill-Laflamme recovery.
+"""Property tests for the completion kernels, Knill-Laflamme recovery and
+the JSON pair codec.
 
 Hypothesis draws the structure (sizes, ranks, error sets, qubit order) and a
 seed; numpy draws the numerical content from that seed.
 """
 
+import json
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchannel.channels import KrausChannel, permutation_unitary
+from qchannel.errors import SchemaError
 from qchannel.linalg import complete_isometry, dagger, frob, haar_random_unitary, kron_chain, polar
 from qchannel.qcore import gate
 from qchannel.qec import QuantumCode, _sorted_eigh, build_recovery, correctability, verify_recovery
+from qchannel.serialize import dumps, matrix_from_json, matrix_to_json, state_from_json, state_to_json
 
 PAULIS = [np.eye(2, dtype=complex), gate("X"), gate("Y"), gate("Z")]
 SEEDS = st.integers(0, 2**32 - 1)
@@ -100,3 +107,133 @@ def test_knill_laflamme_implies_recovery(instance):
         assert frob(pk - syndrome @ dagger(syndrome)) <= 1e-9
     noisy = KrausChannel([np.sqrt(p) * e for p, e in zip(probs, errors)])
     assert verify_recovery(noisy, rec, code) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Pair codec: the vectorised encoder and decoder against the per-entry ones
+# they replaced, kept here verbatim as the reference.
+# ---------------------------------------------------------------------------
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise SchemaError(message)
+
+
+def _reference_as_pair_list(values, what: str) -> np.ndarray:
+    _require(isinstance(values, list), f"{what} must be a list")
+    out = np.empty(len(values), dtype=complex)
+    for i, pair in enumerate(values):
+        _require(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair),
+            f"{what}[{i}] must be a [re, im] number pair",
+        )
+        _require(all(math.isfinite(float(x)) for x in pair), f"{what}[{i}] is not finite")
+        out[i] = complex(float(pair[0]), float(pair[1]))
+    return out
+
+
+def _reference_pairs(a: np.ndarray) -> list[list[float]]:
+    flat = np.asarray(a, dtype=complex).reshape(-1)
+    return [[float(x.real), float(x.imag)] for x in flat]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 1e16, -1e16, 3.0, 1.7976931348623157e308
+]
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+NUMBERS = st.one_of(
+    FINITE_FLOATS,
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**53 + 1, 2**63, 2**63 + 2**11 + 1, -(2**63) - 1, 2**64]),
+    st.booleans(),
+)
+HUGE_INTS = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+JSON_OBJECTS = st.dictionaries(st.text(max_size=1), NUMBERS, max_size=1)
+NON_NUMBERS = st.one_of(st.text(max_size=2), st.none(), st.lists(NUMBERS, max_size=2), JSON_OBJECTS)
+BAD_ENTRIES = st.one_of(
+    st.lists(NUMBERS, max_size=3).filter(lambda v: len(v) != 2),
+    st.tuples(st.sampled_from([float("nan"), float("inf"), -float("inf")]), NUMBERS).map(list),
+    st.tuples(NUMBERS, HUGE_INTS).map(list),
+    st.tuples(HUGE_INTS, NUMBERS).map(list),
+    st.tuples(NON_NUMBERS, NUMBERS).map(list),
+    st.tuples(NUMBERS, NON_NUMBERS).map(list),
+    st.one_of(NUMBERS, st.text(max_size=2), st.none()),
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """Lists of [re, im] pairs, mostly well formed, with up to two bad
+    entries put in at random places, or no list at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.one_of(st.none(), st.text(max_size=2), NUMBERS, JSON_OBJECTS))
+    values = draw(st.lists(st.tuples(NUMBERS, NUMBERS).map(list), max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        values.insert(draw(st.integers(0, len(values))), draw(BAD_ENTRIES))
+    return values
+
+
+def _same_outcome(decode, doc, reference):
+    """decode(doc) must give the bit pattern `reference` returns, or raise the
+    SchemaError message it raises; an OverflowError of the reference (an int
+    beyond the double range) must now be a 'not finite' SchemaError."""
+    try:
+        expected, expected_error = reference(), None
+    except SchemaError as exc:
+        expected, expected_error = None, str(exc)
+    except OverflowError:
+        expected, expected_error = None, OverflowError
+    try:
+        got, got_error = decode(doc), None
+    except SchemaError as exc:
+        got, got_error = None, str(exc)
+    if expected_error is OverflowError:
+        assert got_error is not None and got_error.endswith("is not finite")
+    elif expected_error is not None:
+        assert got_error == expected_error
+    else:
+        assert got_error is None
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _reference_matrix(values):
+    data = _reference_as_pair_list(values, "data")
+    cols = len(values) or 1
+    _require(data.size == cols, f"data length {data.size} != rows*cols {cols}")
+    return data.reshape(1, cols)
+
+
+def _reference_state(values):
+    amps = _reference_as_pair_list(values, "amplitudes")
+    _require(amps.size == (len(values) or 1), f"amplitudes length {amps.size} != dim {len(values) or 1}")
+    return amps
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair_lists())
+def test_decoders_match_per_entry_reference(values):
+    cols = len(values) if isinstance(values, list) and values else 1
+    _same_outcome(matrix_from_json, {"rows": 1, "cols": cols, "data": values}, lambda: _reference_matrix(values))
+    _same_outcome(state_from_json, {"dim": cols, "amplitudes": values}, lambda: _reference_state(values))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_encoders_match_per_entry_reference(rows, cols, data):
+    parts = data.draw(st.lists(FINITE_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    a = np.empty((rows, cols), dtype=complex)
+    a.real.flat, a.imag.flat = parts[0::2], parts[1::2]
+    expected = dumps({"rows": rows, "cols": cols, "data": _reference_pairs(a)})
+    assert dumps(matrix_to_json(a)) == expected
+    assert dumps(state_to_json(a)) == dumps({"dim": rows * cols, "amplitudes": _reference_pairs(a)})
+    assert np.array_equal(matrix_from_json(json.loads(expected)).view(np.uint64), a.view(np.uint64))
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS)
+def test_edge_floats_round_trip_bit_exactly(value):
+    a = np.array([[complex(value, -value)]])
+    text = dumps(matrix_to_json(a))
+    assert text == dumps({"rows": 1, "cols": 1, "data": _reference_pairs(a)})
+    assert np.array_equal(matrix_from_json(json.loads(text)).view(np.uint64), a.view(np.uint64))

@@ -95,3 +95,18 @@ def test_bad_channel_documents():
         channel_from_json({"builtin": "not_a_channel"})
     with pytest.raises(SchemaError):
         channel_from_json({"dim": 3, "kraus": [matrix_to_json(np.eye(2))]})
+
+
+@pytest.mark.parametrize(
+    ("text", "decode", "message"),
+    [
+        ('{"rows":1,"cols":1,"data":[[1%s,0]]}' % ("0" * 400), matrix_from_json, "data[0] is not finite"),
+        ('{"rows":1,"cols":2,"data":[[0,0],[0,-1%s]]}' % ("0" * 400), matrix_from_json, "data[1] is not finite"),
+        ('{"dim":2,"amplitudes":[[1,0],[1%s,0.5]]}' % ("0" * 400), state_from_json, "amplitudes[1] is not finite"),
+    ],
+    ids=["matrix-re", "matrix-im-negative", "state"],
+)
+def test_oversized_integer_is_a_schema_error(text, decode, message):
+    with pytest.raises(SchemaError) as info:
+        decode(json.loads(text))
+    assert str(info.value) == message
