@@ -3,8 +3,14 @@ fixed-point sets, the unitality equivalence between them, block structure of
 finite-dimensional †-closed operator algebras, noiseless-subsystem encoders,
 and the dead-subspace test for singular images of the identity.
 
-Operators are vectorized row-major throughout, so conjugation maps become
-Kronecker factors and subspace work reduces to numerical null spaces.
+Operators are vectorized row-major throughout, and subspace work reduces to
+numerical null spaces.  Commutants are solved in block coordinates: the
+eigenbasis of one random Hermitian element of the generated algebra leaves
+only the entries inside its eigenvalue clusters unknown.  Algebra closures
+grow by generator words in batched Krylov rounds, and the centre is solved in
+the coefficient coordinates of the algebra's basis.  Only `fixed_point_set`
+builds an N^2 x N^2 superoperator, and it refuses above
+linalg.MAX_SUPEROPERATOR_BYTES.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, classify
+# classify stays bound here: bench/tracing.py wraps it under this module.
+from .channels import KrausChannel, classify  # noqa: F401
 from .errors import (
     DimensionMismatchError,
     NotAnAlgebraError,
@@ -23,7 +30,15 @@ from .errors import (
     NotUnitalError,
     StructureResolutionError,
 )
-from .linalg import DEFAULT_TOL, dagger, frob, kron, null_space_basis, orthonormal_columns
+from .linalg import (
+    DEFAULT_TOL,
+    dagger,
+    frob,
+    kron,
+    null_space_basis,
+    orthonormal_columns,
+    require_superoperator_size,
+)
 
 
 def _vec(a: np.ndarray) -> np.ndarray:
@@ -82,45 +97,39 @@ def spaces_equal(a: OperatorSpace, b: OperatorSpace, tol: float = DEFAULT_TOL) -
     )
 
 
+def _new_directions(candidates: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the candidates' components outside
+    range(cols): two projections (CGS2), then a thin SVD that keeps singular
+    values above 1e-10 * max(1, largest candidate norm)."""
+    scale = max(1.0, float(np.max(np.linalg.norm(candidates, axis=0), initial=0.0)))
+    for _ in range(2):
+        candidates = candidates - cols @ (dagger(cols) @ candidates)
+    u, s, _ = np.linalg.svd(candidates, full_matrices=False)
+    return u[:, s > 1e-10 * scale]
+
+
 def _closure(seed_ops: Sequence[np.ndarray], n: int, include_adjoints: bool, include_identity: bool) -> OperatorSpace:
     """Smallest multiplicatively closed subspace containing the seeds,
     optionally seeded with adjoints and the identity.
 
-    Each round multiplies fresh basis elements against the whole current
-    basis and orthonormalizes; the dimension is capped by N^2, which bounds
-    the iteration.
+    Krylov rounds over generator words: span(words <= L) is span(words <= L-1)
+    plus S * span(words <= L-1) for the seed set S, so each round multiplies
+    only the fresh directions of the last round by the seeds, in one batched
+    matmul.  The dimension is capped by N^2, which bounds the iteration.
     """
-    seeds = [np.asarray(e, dtype=complex) for e in seed_ops]
+    seeds = np.stack([np.asarray(e, dtype=complex) for e in seed_ops])
     if include_adjoints:
-        seeds = seeds + [dagger(e) for e in seeds]
+        seeds = np.concatenate([seeds, seeds.conj().transpose(0, 2, 1)])
     if include_identity:
-        seeds = [np.eye(n, dtype=complex)] + seeds
-    cols, _ = orthonormal_columns([_vec(s) for s in seeds])
+        seeds = np.concatenate([np.eye(n, dtype=complex)[None], seeds])
+    cols = _new_directions(seeds.reshape(len(seeds), n * n).T, np.zeros((n * n, 0), dtype=complex))
+    # The orthonormal seed span: products of HS-unit matrices have HS norm <= 1.
+    gens = cols.T.reshape(-1, n, n)
     fresh = cols
     while fresh.shape[1] > 0 and cols.shape[1] < n * n:
-        mats = [cols[:, j].reshape(n, n) for j in range(cols.shape[1])]
-        new_mats = [fresh[:, j].reshape(n, n) for j in range(fresh.shape[1])]
-        candidates = []
-        for a in new_mats:
-            for b in mats:
-                candidates.append(_vec(a @ b))
-                candidates.append(_vec(b @ a))
-        added = []
-        for c in candidates:
-            w = c.copy()
-            scale = max(1.0, float(np.linalg.norm(w)))
-            for _ in range(2):
-                w = w - cols @ (dagger(cols) @ w)
-                if added:
-                    amat = np.column_stack(added)
-                    w = w - amat @ (dagger(amat) @ w)
-            norm = np.linalg.norm(w)
-            if norm > 1e-10 * scale:
-                added.append(w / norm)
-        if not added:
-            break
-        cols = np.column_stack([cols] + added)
-        fresh = np.column_stack(added)
+        words = gens[:, None] @ fresh.T.reshape(-1, n, n)[None]
+        fresh = _new_directions(words.reshape(-1, n * n).T, cols)
+        cols = np.hstack([cols, fresh])
     return _space_from_vec_columns(cols, n)
 
 
@@ -130,26 +139,58 @@ def interaction_algebra(ch: KrausChannel) -> OperatorSpace:
 
 
 def commutant(generators: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """Operators commuting with every generator and every adjoint, from the
-    null space of the stacked vectorized commutator maps."""
+    """Operators commuting with every generator and every adjoint.
+
+    Random-element block diagonalisation: every such X commutes with the
+    Hermitian H = sum c_i G_i + h.c., so in an eigenbasis W of H the matrix
+    W† X W is block diagonal over H's eigenvalue clusters.  Only those
+    p = sum m_c^2 within-cluster entries are unknowns of the commutator
+    null space.  The fixed draw of the c_i only sets p: merged clusters make
+    p larger (N^2 when H is scalar), never the answer wrong.  Raises
+    SizeLimitError when the 2k N^2 x p constraint stack of k generators would
+    exceed linalg.MAX_SUPEROPERATOR_BYTES.
+    """
     mats = [np.asarray(g, dtype=complex) for g in generators]
     if not mats:
         raise DimensionMismatchError("need at least one generator")
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise DimensionMismatchError("generators must share one square shape")
-    eye = np.eye(n)
+    gens = np.stack(mats)
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    a = np.tensordot(c, gens, axes=1)
+    vals, w = np.linalg.eigh(a + dagger(a))
+    # Clusters relative to ||H||, not to the spread: a scalar H plus rounding
+    # noise must stay one cluster.
+    norm = float(np.max(np.abs(vals)))
+    groups = _cluster(vals / norm if norm > 0 else vals)
+    ia = np.concatenate([np.repeat(g, len(g)) for g in groups])
+    ib = np.concatenate([np.tile(g, len(g)) for g in groups])
+    k = np.arange(ia.size)
+    require_superoperator_size(
+        32 * len(mats) * n * n * ia.size, f"commutant constraint stack with {ia.size} unknowns at dimension {n}"
+    )
     rows = []
-    for g in mats:
+    for g in dagger(w) @ gens @ w:
         for h in (g, dagger(g)):
-            rows.append(kron(h, eye) - kron(eye, h.T))
+            # Column k is vec(h E_ab - E_ab h) for the unknown (a, b) = (ia[k], ib[k]).
+            col = np.zeros((n, n, ia.size), dtype=complex)
+            col[:, ib, k] = h[:, ia]
+            col[ia, :, k] -= h[ib, :]
+            rows.append(col.reshape(n * n, ia.size))
     scale = max(1.0, max(frob(g) for g in mats))
-    cols = null_space_basis(np.vstack(rows), tol, scale=scale)
-    return _space_from_vec_columns(cols, n)
+    coeffs = null_space_basis(np.vstack(rows), tol, scale=scale)
+    y = np.zeros((coeffs.shape[1], n, n), dtype=complex)
+    y[:, ia, ib] = coeffs.T
+    return OperatorSpace(list(w @ y @ dagger(w)))
 
 
 def channel_superoperator(ch: KrausChannel) -> np.ndarray:
-    """N^2 x N^2 matrix of the channel on row-major vectorized operators."""
+    """N^2 x N^2 matrix of the channel on row-major vectorized operators.
+
+    Raises SizeLimitError above linalg.MAX_SUPEROPERATOR_BYTES."""
+    require_superoperator_size(16 * ch.dim**4, f"channel superoperator at dimension {ch.dim}")
     total = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
     for e in ch.operators:
         total += kron(e, e.conj())
@@ -173,15 +214,15 @@ def fix_equals_commutant(ch: KrausChannel, tol: float = DEFAULT_TOL) -> FixVsCom
     exactly for unital channels, and both facts are computed independently."""
     if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("fixed-point comparison requires a trace-preserving channel")
-    comm = commutant(ch.operators, tol)
     fix = fixed_point_set(ch, tol)
-    return FixVsCommutant(spaces_equal(fix, comm, tol), classify(ch, tol).unital)
+    comm = commutant(ch.operators, tol)
+    return FixVsCommutant(spaces_equal(fix, comm, tol), ch.is_unital(tol))
 
 
 def adjoints_in_algebra(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Whether every adjoint Kraus operator already lies in the algebra
     generated by the Kraus operators alone (no adjoints seeded)."""
-    if not classify(ch, tol).unital:
+    if not ch.is_unital(tol):
         raise NotUnitalError("adjoint-closure test is stated for unital channels")
     a0 = _closure(ch.operators, ch.dim, include_adjoints=False, include_identity=False)
     return all(a0.contains(dagger(e), tol) for e in ch.operators)
@@ -235,32 +276,35 @@ def _cluster(vals: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
     return groups
 
 
-def _hermitian_basis(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Real-orthonormal Hermitian basis spanning a †-closed complex span."""
-    candidates = []
-    for m in mats:
-        candidates.append((m + dagger(m)) / 2.0)
-        candidates.append((m - dagger(m)) / 2.0j)
-    cols, kept = orthonormal_columns([_vec(c) for c in candidates])
+def _hermitian_basis(mats: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
+    """Real-orthonormal Hermitian basis spanning a †-closed complex span.
+
+    The rank comes from a thin SVD of the candidates' stacked real vectors
+    [re; im], cut at max(tol, 1e-9) * sigma_max: near-dependent Hermitian and
+    anti-Hermitian parts of a mixed basis leave residuals far above machine
+    precision, which a fixed Gram-Schmidt drop would keep as spurious
+    elements.  Real singular vectors of Hermitian candidates are Hermitian.
+    """
     n = mats[0].shape[0]
-    out = []
-    for j in range(cols.shape[1]):
-        h = cols[:, j].reshape(n, n)
-        out.append((h + dagger(h)) / 2.0)
-    return out
+    herm = []
+    for m in mats:
+        herm.append((m + dagger(m)) / 2.0)
+        herm.append((m - dagger(m)) / 2.0j)
+    flat = np.stack(herm).reshape(len(herm), n * n)
+    u, s, _ = np.linalg.svd(np.vstack([flat.real.T, flat.imag.T]), full_matrices=False)
+    u = u[:, s > max(tol, 1e-9) * s[0]]
+    return list((u[: n * n] + 1j * u[n * n :]).T.reshape(-1, n, n))
 
 
 def _center(space: OperatorSpace, tol: float) -> list[np.ndarray]:
     """Intersection of the algebra with its own commutant, solved in the
     coefficient coordinates of the given basis."""
     n = space.ambient_dim
-    eye = np.eye(n)
-    rows = []
-    for b in space.basis:
-        rows.append((kron(b, eye) - kron(eye, b.T)) @ space.vecs)
+    basis = np.stack(space.basis)
+    d = len(basis)
+    rows = [(b @ basis - basis @ b).reshape(d, n * n).T for b in basis]
     coeffs = null_space_basis(np.vstack(rows), tol, scale=1.0)
-    cols = space.vecs @ coeffs
-    return [cols[:, j].reshape(n, n) for j in range(cols.shape[1])]
+    return list(np.tensordot(coeffs.T, basis, axes=1))
 
 
 def _random_hermitian(hbasis: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -268,12 +312,14 @@ def _random_hermitian(hbasis: Sequence[np.ndarray], rng: np.random.Generator) ->
     return sum(wi * h for wi, h in zip(w, hbasis))
 
 
-def _align_block(comp_cols: np.ndarray, dim: int, n_block: int, m_block: int, rng: np.random.Generator) -> np.ndarray:
+def _align_block(
+    comp_cols: np.ndarray, dim: int, n_block: int, m_block: int, rng: np.random.Generator, tol: float
+) -> np.ndarray:
     """Basis of C^dim (dim = m*n) realizing the ampliation pattern for one
     block, built from eigen-clusters of a random Hermitian algebra element
     aligned across clusters by a generic intertwining algebra element."""
     comp_mats = [comp_cols[:, j].reshape(dim, dim) for j in range(comp_cols.shape[1])]
-    hbasis = _hermitian_basis(comp_mats)
+    hbasis = _hermitian_basis(comp_mats, tol)
     for _ in range(4):
         h = _random_hermitian(hbasis, rng)
         vals, vecs = np.linalg.eigh(h)
@@ -309,7 +355,7 @@ def _align_block(comp_cols: np.ndarray, dim: int, n_block: int, m_block: int, rn
 def _resolve_structure(space: OperatorSpace, tol: float, seed: int) -> AlgebraStructure:
     n = space.ambient_dim
     rng = np.random.default_rng(seed)
-    hcenter = _hermitian_basis(_center(space, tol))
+    hcenter = _hermitian_basis(_center(space, tol), tol)
     z = _random_hermitian(hcenter, rng)
     vals, vecs = np.linalg.eigh(z)
     raw_blocks = []
@@ -326,7 +372,7 @@ def _resolve_structure(space: OperatorSpace, tol: float, seed: int) -> AlgebraSt
         if n_block == 1:
             block_cols = w
         else:
-            block_cols = w @ _align_block(comp_cols, d_spatial, n_block, m_block, rng)
+            block_cols = w @ _align_block(comp_cols, d_spatial, n_block, m_block, rng, tol)
         raw_blocks.append((m_block, n_block, block_cols))
 
     if sum(nb * nb for _, nb, _ in raw_blocks) != space.dim:
@@ -407,7 +453,7 @@ def noiseless_subsystems(ch: KrausChannel, tol: float = DEFAULT_TOL, seed: int =
     ampliation on the multiplicity factor)."""
     if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("noiseless subsystems are stated for channels")
-    if not classify(ch, tol).unital:
+    if not ch.is_unital(tol):
         raise NotUnitalError("noise-commutant protection requires a unital channel")
     space = commutant(ch.operators, tol)
     structure = wedderburn_structure(space, tol, seed)

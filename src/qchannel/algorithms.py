@@ -110,7 +110,8 @@ def deutsch_jozsa(f: BooleanOracle) -> AlgorithmVerdict:
     query: measure the first m qubits of (H_m x I) U_f (H_m x H) |0...0,1>;
     the all-zeros outcome has probability 1 (constant) or 0 (balanced).
 
-    The probability reported is that of the verdict-determining event.
+    The probability reported is that of the verdict-determining event,
+    clamped to 1 against rounding in |a|^2 + |b|^2.
     """
     if f.k != 1:
         raise WrongArityError(f"need k = 1, got k={f.k}")
@@ -121,7 +122,7 @@ def deutsch_jozsa(f: BooleanOracle) -> AlgorithmVerdict:
     state = basis_state(1, 2 ** (f.m + 1))
     state = (hm @ state.reshape(-1, 2) @ gate("H")).reshape(-1)
     final = hm @ (oracle_unitary(f) @ state).reshape(-1, 2)
-    p_zeros = float(abs(final[0, 0]) ** 2 + abs(final[0, 1]) ** 2)
+    p_zeros = min(1.0, float(abs(final[0, 0]) ** 2 + abs(final[0, 1]) ** 2))
     if p_zeros >= 0.5:
         return AlgorithmVerdict("constant", p_zeros)
     return AlgorithmVerdict("balanced", 1.0 - p_zeros)

@@ -22,7 +22,7 @@ from .errors import (
     NotPSDError,
     UnknownChannelError,
 )
-from .linalg import DEFAULT_TOL, complete_isometry, dagger, frob, kron, require_finite
+from .linalg import DEFAULT_TOL, complete_isometry, dagger, frob, kron, require_finite, require_superoperator_size
 from .qcore import basis_state, embed_single, gate
 
 
@@ -53,6 +53,10 @@ class KrausChannel:
     def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
         return self.tp_residual <= tol * self.dim
 
+    def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
+        """Whether ||sum E E† - I||_F <= tol * dim, formed on each call."""
+        return _unital(sum(e @ dagger(e) for e in self.operators), tol)
+
     def __call__(self, rho) -> np.ndarray:
         return apply_channel(self, rho)
 
@@ -71,8 +75,16 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     return out
 
 
+def _unital(image_of_identity: np.ndarray, tol: float) -> bool:
+    n = image_of_identity.shape[0]
+    return frob(image_of_identity - np.eye(n)) <= tol * n
+
+
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """N^2 x N^2 Choi matrix with block (i, j) equal to the image of e_ij."""
+    """N^2 x N^2 Choi matrix with block (i, j) equal to the image of e_ij.
+
+    Raises SizeLimitError above linalg.MAX_SUPEROPERATOR_BYTES."""
+    require_superoperator_size(16 * ch.dim**4, f"Choi matrix at dimension {ch.dim}")
     cols = [e.T.reshape(-1) for e in ch.operators]
     r = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
     for c in cols:
@@ -103,10 +115,9 @@ def classify(ch_or_choi, tol: float = DEFAULT_TOL) -> Classification:
     unitality for a Kraus channel or a raw Choi matrix."""
     if isinstance(ch_or_choi, KrausChannel):
         ch = ch_or_choi
-        n = ch.dim
         choi = choi_matrix(ch)
         tp = ch.is_trace_preserving(tol)
-        un_gram = sum(e @ dagger(e) for e in ch.operators)
+        unital = ch.is_unital(tol)
     else:
         choi = np.asarray(ch_or_choi, dtype=complex)
         n = _choi_block_dim(choi)
@@ -116,13 +127,12 @@ def classify(ch_or_choi, tol: float = DEFAULT_TOL) -> Classification:
             [[np.trace(choi_block(choi, i, j)) for i in range(n)] for j in range(n)]
         )
         tp = frob(tp_gram - np.eye(n)) <= tol * n
-        un_gram = sum(choi_block(choi, i, i) for i in range(n))
+        unital = _unital(sum(choi_block(choi, i, i) for i in range(n)), tol)
     herm = (choi + dagger(choi)) / 2.0
     vals = np.linalg.eigvalsh(herm)
     cp = frob(choi - herm) <= tol * (1.0 + frob(choi)) and (
         vals.size == 0 or float(vals[0]) >= -tol * max(1.0, float(vals[-1]))
     )
-    unital = frob(un_gram - np.eye(n)) <= tol * n
     return Classification(bool(cp), bool(tp), bool(unital))
 
 

@@ -86,6 +86,10 @@ class NotAnAlgebraError(PreconditionError):
     """Operator space is not closed under products/adjoints or lacks the identity."""
 
 
+class SizeLimitError(PreconditionError):
+    """An operation would allocate beyond the documented size envelope."""
+
+
 class StructureResolutionError(PreconditionError):
     """Randomized block-structure resolution stayed ambiguous across retries."""
 

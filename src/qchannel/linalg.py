@@ -13,11 +13,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, ShapeMismatchError
+from .errors import NotHermitianError, ShapeMismatchError, SizeLimitError
 
 # Target dimensions stay small (<= ~1024), so double precision leaves ample
 # headroom around this default.
 DEFAULT_TOL = 1e-9
+
+# Largest superoperator-sized array the package builds: a Choi matrix, a
+# channel superoperator or the commutant's constraint stack.  256 MiB holds an
+# N^2 x N^2 complex matrix up to N = 64.  The routines that build one hold a
+# few arrays of that size at once (fixed_point_set also holds the identity,
+# the difference and both SVD factors), so the limit sits well below the
+# memory of a small machine.  Larger requests raise SizeLimitError before
+# anything is allocated.
+MAX_SUPEROPERATOR_BYTES = 256 * 2**20
+
+
+def require_superoperator_size(nbytes: int, what: str) -> None:
+    """Refuse an array of nbytes above MAX_SUPEROPERATOR_BYTES."""
+    if nbytes > MAX_SUPEROPERATOR_BYTES:
+        raise SizeLimitError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, above the "
+            f"{MAX_SUPEROPERATOR_BYTES // 2**20} MiB superoperator limit"
+        )
 
 
 def as_operator(a) -> np.ndarray:

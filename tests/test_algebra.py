@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qchannel.algebra import (
     OperatorSpace,
+    _hermitian_basis,
     adjoints_in_algebra,
     channel_superoperator,
     commutant,
@@ -17,6 +20,7 @@ from qchannel.algebra import (
 )
 from qchannel.channels import (
     KrausChannel,
+    choi_matrix,
     classify,
     amplitude_damping,
     apply_channel,
@@ -29,8 +33,8 @@ from qchannel.channels import (
     random_unitary_channel,
     zz_dephasing,
 )
-from qchannel.errors import NotAnAlgebraError, NotTracePreservingError, NotUnitalError
-from qchannel.linalg import dagger, frob, haar_random_unitary, kron
+from qchannel.errors import NotAnAlgebraError, NotTracePreservingError, NotUnitalError, SizeLimitError
+from qchannel.linalg import dagger, frob, haar_random_unitary, kron, require_superoperator_size
 from qchannel.qcore import basis_state, gate, pure_density, random_density
 
 E00 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -126,6 +130,28 @@ class TestFixedPoints:
                 assert np.linalg.norm(phi @ b.reshape(-1) - b.reshape(-1)) <= 1e-8, name
 
 
+class TestSizeGuard:
+    def test_superoperators_refused_before_allocating(self):
+        ch = KrausChannel([np.eye(128)])
+        tracemalloc.start()
+        try:
+            for build in (choi_matrix, classify, channel_superoperator, fixed_point_set, fix_equals_commutant):
+                with pytest.raises(SizeLimitError):
+                    build(ch)
+            # a scalar generator leaves all N^2 entries unknown
+            with pytest.raises(SizeLimitError):
+                commutant(ch.operators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_limit_admits_dimension_64(self):
+        require_superoperator_size(16 * 64**4, "N = 64")
+        with pytest.raises(SizeLimitError):
+            require_superoperator_size(16 * 65**4, "N = 65")
+
+
 class TestFixVsCommutant:
     def test_unital_cases(self):
         for ch in (phase_flip(0.25), zz_dephasing(0.25), bit_flip(0.3),
@@ -219,6 +245,32 @@ class TestWedderburn:
         s1 = wedderburn_structure(rot)
         s2 = wedderburn_structure(perm)
         assert sorted(s1.blocks) == sorted(s2.blocks)
+
+    def test_hermitian_basis_of_mixed_centre(self):
+        # three orthogonal block projectors, HS-normalised, mixed by a Haar
+        # 3x3 unitary plus 1e-13 noise: the Hermitian span stays 3-dimensional
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            v = haar_random_unitary(16, rng)
+            projectors = [v[:, a:b] @ dagger(v[:, a:b]) / np.sqrt(b - a) for a, b in ((0, 4), (4, 9), (9, 16))]
+            mixed = np.tensordot(haar_random_unitary(3, rng), np.stack(projectors), axes=1)
+            mixed = mixed + 1e-13 * (rng.standard_normal(mixed.shape) + 1j * rng.standard_normal(mixed.shape))
+            hbasis = _hermitian_basis(list(mixed), 1e-9)
+            assert len(hbasis) == 3, seed
+            for h in hbasis:
+                assert frob(h - dagger(h)) <= 1e-12
+
+    def test_resolves_remixed_collective_rotation_commutants(self):
+        patterns = {3: [(2, 2), (4, 1)], 4: [(1, 2), (3, 3), (5, 1)]}
+        for n, pattern in patterns.items():
+            for seed in range(40):
+                rng = np.random.default_rng([n, seed])
+                space = commutant(collective_rotation(n, rng.uniform(0.7, 1.1, 3)).operators)
+                basis = np.tensordot(haar_random_unitary(space.dim, rng), np.stack(space.basis), axes=1)
+                mixed = OperatorSpace(list(basis))
+                structure = wedderburn_structure(mixed, seed=seed)
+                assert sorted(structure.blocks) == pattern, (n, seed)
+                assert structure_residual(mixed, structure) <= 1e-7, (n, seed)
 
     def test_rejects_non_algebra(self):
         with pytest.raises(NotAnAlgebraError):

@@ -104,6 +104,12 @@ class TestDeutschJozsa:
             count += 1
         assert count == 70
 
+    def test_constant_probability_at_most_one(self):
+        for bit in (0, 1):
+            verdict = deutsch_jozsa(BooleanOracle(10, 1, (bit,) * 1024))
+            assert verdict.verdict == "constant"
+            assert 1.0 - 1e-10 <= verdict.probability <= 1.0
+
     def test_reduces_to_deutsch(self):
         for table, oracle in all_single_bit_oracles().items():
             assert deutsch_jozsa(oracle).verdict == deutsch(oracle).verdict

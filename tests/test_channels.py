@@ -127,6 +127,13 @@ class TestClassify:
         image_of_identity = sum(e @ dagger(e) for e in ch.operators)
         assert np.allclose(image_of_identity, np.diag([1 + r, 1 - r]))
 
+    def test_unital_at_its_own_tolerance(self):
+        # sum E E† = (1 + 1e-8) I: unital at tol 1e-6, not at the default
+        ch = KrausChannel([np.sqrt(1 + 1e-8) * e for e in bit_flip(0.3).operators])
+        assert ch.is_unital(1e-6) and classify(ch, 1e-6).unital
+        assert not ch.is_unital() and not classify(ch).unital
+        assert not amplitude_damping(0.5).is_unital()
+
     def test_unital_random_unitary_classes(self):
         for name in ("collective_rotation", "permutation"):
             ch = dict(builtin_instances())[name]

@@ -139,6 +139,15 @@ def test_non_tp_channel_exits_3(tmp_path, capsys):
     assert "NotTracePreserving" in err
 
 
+@pytest.mark.parametrize("verb", ["classify", "choi", "fix"])
+def test_oversized_superoperator_exits_3(tmp_path, capsys, verb):
+    identity = write(tmp_path / "id128.json", {"dim": 128, "kraus": [matrix_to_json(np.eye(128))]})
+    code, out, err = run(capsys, [verb, "--channel", identity])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err.splitlines()[0])["error"] == "SizeLimitError"
+
+
 def test_dead_subspace_report(capsys):
     code, out, _ = run(capsys, ["dead-subspace", "--channel", "builtin:dead_row?d=4"])
     assert code == 0

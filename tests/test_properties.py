@@ -1,5 +1,5 @@
-"""Property tests for the completion kernels, Knill-Laflamme recovery and
-the JSON pair codec.
+"""Property tests for the completion kernels, Knill-Laflamme recovery, the
+JSON pair codec and the algebra layer (commutants, closures, Fix = commutant).
 
 Hypothesis draws the structure (sizes, ranks, error sets, qubit order) and a
 seed; numpy draws the numerical content from that seed.
@@ -13,9 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchannel.channels import KrausChannel, permutation_unitary
+from qchannel.algebra import (
+    OperatorSpace,
+    commutant,
+    fix_equals_commutant,
+    interaction_algebra,
+    spaces_equal,
+    wedderburn_structure,
+)
+from qchannel.channels import KrausChannel, amplitude_damping, permutation_unitary, random_unitary_channel
 from qchannel.errors import SchemaError
-from qchannel.linalg import complete_isometry, dagger, frob, haar_random_unitary, kron_chain, polar
+from qchannel.linalg import (
+    complete_isometry,
+    dagger,
+    frob,
+    haar_random_unitary,
+    kron_chain,
+    null_space_basis,
+    polar,
+)
 from qchannel.qcore import gate
 from qchannel.qec import QuantumCode, _sorted_eigh, build_recovery, correctability, verify_recovery
 from qchannel.serialize import dumps, matrix_from_json, matrix_to_json, state_from_json, state_to_json
@@ -237,3 +253,105 @@ def test_edge_floats_round_trip_bit_exactly(value):
     text = dumps(matrix_to_json(a))
     assert text == dumps({"rows": 1, "cols": 1, "data": _reference_pairs(a)})
     assert np.array_equal(matrix_from_json(json.loads(text)).view(np.uint64), a.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# Algebra layer: the block-coordinate commutant against the full Kronecker
+# stack it replaced, kept here as the reference.
+# ---------------------------------------------------------------------------
+
+
+def _reference_commutant(generators, tol: float = 1e-9) -> OperatorSpace:
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    n = mats[0].shape[0]
+    eye = np.eye(n)
+    rows = [np.kron(h, eye) - np.kron(eye, h.T) for g in mats for h in (g, dagger(g))]
+    scale = max(1.0, max(frob(g) for g in mats))
+    cols = null_space_basis(np.vstack(rows), tol, scale=scale)
+    return OperatorSpace([cols[:, j].reshape(n, n) for j in range(cols.shape[1])])
+
+
+@st.composite
+def block_families(draw, unitary=None):
+    """Generators W (+)_k (I_{m_k} x A_k) W† sharing one Haar W, with
+    (m_k, n_k) blocks, N = sum m_k n_k <= 10, and random A_k: 1-3 Ginibre
+    or 2-3 Haar ones.  Returns the generators and the blocks: the commutant is then
+    (+)_k M_{m_k} x I_{n_k} and the generated algebra (+)_k I_{m_k} x M_{n_k}."""
+    blocks = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3).filter(
+            lambda b: sum(m * n for m, n in b) <= 10
+        )
+    )
+    if unitary is None:
+        unitary = draw(st.booleans())
+    # one unitary is normal and generates only a commutative algebra
+    count = draw(st.integers(2 if unitary else 1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    dim = sum(m * n for m, n in blocks)
+    w = haar_random_unitary(dim, rng)
+    gens = []
+    for _ in range(count):
+        g = np.zeros((dim, dim), dtype=complex)
+        off = 0
+        for m, n in blocks:
+            a = haar_random_unitary(n, rng) if unitary else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g[off : off + m * n, off : off + m * n] = np.kron(np.eye(m), a)
+            off += m * n
+        gens.append(w @ g @ dagger(w))
+    return gens, blocks
+
+
+@settings(deadline=None, max_examples=60)
+@given(block_families())
+def test_commutant_of_block_families(family):
+    gens, blocks = family
+    space = commutant(gens)
+    assert spaces_equal(space, _reference_commutant(gens))
+    assert space.dim == sum(m * m for m, _ in blocks)
+    assert sorted(wedderburn_structure(space).blocks) == sorted((n, m) for m, n in blocks)
+    assert interaction_algebra(KrausChannel(gens)).dim == sum(n * n for _, n in blocks)
+
+
+@settings(deadline=None, max_examples=30)
+@given(block_families())
+def test_bicommutant_matches_reference(family):
+    gens, blocks = family
+    inner = commutant(gens).basis
+    double = commutant(inner)
+    assert spaces_equal(double, _reference_commutant(inner))
+    assert double.dim == sum(n * n for _, n in blocks)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 8), st.integers(1, 3), st.data())
+def test_commutant_of_scalar_and_generic_lists(n, count, data):
+    rng = np.random.default_rng(data.draw(SEEDS))
+    scalars = [(rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(n) for _ in range(count)]
+    full = commutant(scalars)
+    assert full.dim == n * n and spaces_equal(full, _reference_commutant(scalars))
+    assert commutant([np.eye(n)]).dim == n * n
+    generic = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(count)]
+    # a generic G and G† already generate M_n
+    space = commutant(generic)
+    assert space.dim == 1 and spaces_equal(space, _reference_commutant(generic))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.floats(0.01, 0.99), st.integers(1, 3), SEEDS)
+def test_commutant_of_non_normal_generators(r, copies, seed):
+    # amplitude damping has a nilpotent Kraus operator; ampliate it over a
+    # random basis of C^2 x C^copies
+    rng = np.random.default_rng(seed)
+    w = haar_random_unitary(2 * copies, rng)
+    gens = [w @ np.kron(e, np.eye(copies)) @ dagger(w) for e in amplitude_damping(r).operators]
+    space = commutant(gens)
+    assert spaces_equal(space, _reference_commutant(gens))
+    assert space.dim == copies * copies
+
+
+@settings(deadline=None, max_examples=30)
+@given(block_families(unitary=True), SEEDS)
+def test_fix_equals_commutant_for_random_unitary_channels(family, seed):
+    unitaries, _ = family
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(unitaries)))
+    assert fix_equals_commutant(random_unitary_channel(weights, unitaries)) == (True, True)
