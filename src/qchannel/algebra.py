@@ -396,8 +396,11 @@ def wedderburn_structure(space: OperatorSpace, tol: float = DEFAULT_TOL, seed: i
     blocks with a deterministic (seeded) basis change.
 
     Blocks come out sorted by (n, m) descending.  Ambiguous random splits are
-    retried with successive seeds before giving up.
+    retried with successive seeds before giving up.  Raises SizeLimitError up
+    front when the centre's d N^2 x d stack exceeds the superoperator limit.
     """
+    n, d = space.ambient_dim, space.dim
+    require_superoperator_size(16 * d * d * n * n, f"centre stack of a {d}-dimensional algebra at dimension {n}")
     _verify_algebra(space, tol)
     last = None
     for attempt in range(5):

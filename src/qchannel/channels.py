@@ -30,12 +30,12 @@ class KrausChannel:
     """Ordered list of equal-shape noise operators defining rho -> sum E rho E†.
 
     Instances are treated as immutable values.  The trace-preservation
-    residual ||sum E†E - I||_F is computed once at construction;
-    `is_trace_preserving(tol)` compares it against tol * dim, and the
-    `trace_preserving` flag is that decision at the default tolerance.
+    residual `tp_residual` = ||sum E†E - I||_F is formed on each call, like
+    `is_unital`; `is_trace_preserving(tol)` compares it against tol * dim,
+    and `trace_preserving` is that decision at the default tolerance.
     """
 
-    __slots__ = ("operators", "dim", "tp_residual", "trace_preserving")
+    __slots__ = ("operators", "dim")
 
     def __init__(self, operators: Sequence[np.ndarray]):
         ops = tuple(require_finite(np.asarray(e, dtype=complex), "Kraus operator") for e in operators)
@@ -46,9 +46,14 @@ class KrausChannel:
             raise DimensionMismatchError("all Kraus operators must be square with one shape")
         self.operators = ops
         self.dim = int(n)
-        total = sum(dagger(e) @ e for e in ops)
-        self.tp_residual = frob(total - np.eye(n))
-        self.trace_preserving = self.is_trace_preserving(DEFAULT_TOL)
+
+    @property
+    def tp_residual(self) -> float:
+        return frob(sum(dagger(e) @ e for e in self.operators) - np.eye(self.dim))
+
+    @property
+    def trace_preserving(self) -> bool:
+        return self.is_trace_preserving(DEFAULT_TOL)
 
     def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
         return self.tp_residual <= tol * self.dim
@@ -179,8 +184,9 @@ def kraus_intertwiner(a: KrausChannel, b: KrausChannel, tol: float = DEFAULT_TOL
     Lists are zero-padded to a common length r.  The least-squares solution of
     the vectorized system is completed to a unitary when b's operators are
     linearly dependent (the solution set is then an affine family and the
-    minimum-norm member is not unitary).  Returns None when the channels
-    differ or verification fails.
+    minimum-norm member is not unitary): `complete_isometry` of each side
+    pairs their complements.  Returns None when the channels differ or
+    verification fails.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"channel dims {a.dim} and {b.dim} differ")
@@ -197,18 +203,13 @@ def kraus_intertwiner(a: KrausChannel, b: KrausChannel, tol: float = DEFAULT_TOL
     w, s, vh = np.linalg.svd(kb, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    if rank == 0:
-        u = np.eye(r, dtype=complex)
-    else:
-        ws = w[:, :rank]
-        c = ka @ vh[:rank].conj().T / s[:rank]  # solves U @ ws = c
-        if frob(dagger(c) @ c - np.eye(rank)) > tol * r:
-            return None
-        if rank < r:
-            cw, _, _ = np.linalg.svd(c, full_matrices=True)
-            u = c @ dagger(ws) + cw[:, rank:] @ dagger(complete_isometry(ws))
-        else:
-            u = c @ dagger(ws)
+    ws = w[:, :rank]
+    c = ka @ vh[:rank].conj().T / s[:rank]  # solves U @ ws = c
+    if frob(dagger(c) @ c - np.eye(rank)) > tol * r:
+        return None
+    u = c @ dagger(ws)
+    if rank < r:
+        u = u + complete_isometry(c) @ dagger(complete_isometry(ws))
 
     scale = max(1.0, max(frob(e) for e in ea))
     residual = max(frob(ea[i] - sum(u[i, j] * eb[j] for j in range(r))) for i in range(r))

@@ -5,8 +5,9 @@ A code is a subspace carried as an isometry V (ambient x code dim) with
 projection P = V V†.  Detectability of an operator E is the scalar-compression
 condition P E P = lambda P; correctability of an error list is the same
 condition on all pairwise products E_i† E_j, and the resulting scalar matrix
-drives an explicit recovery channel: diagonalize it, polar-decompose the
-recombined errors against P, and measure the resulting syndrome projections.
+drives an explicit recovery channel: diagonalize it, rotate the code onto
+range(F_k V) for each recombined error F_k inside span(V, F_k V), and measure
+the resulting syndrome projections.  Every test runs on K x K compressions.
 """
 
 from __future__ import annotations
@@ -101,24 +102,36 @@ class DetectionResult:
     residual: float
 
 
+def _scalar_check(left: np.ndarray, right: np.ndarray, scale, tol: float, lam: np.ndarray | None = None):
+    """Test m_ij = left_i† right_j = lambda_ij I for every pair of the stacks
+    left (a, N, K) and right (b, N, K), all formed in one batched product.
+
+    lambda_ij is Tr(m_ij) / K unless lam is given.  Returns lam, the residuals
+    ||m_ij - lambda_ij I||_F and the first pair in row-major order whose
+    residual exceeds tol * (1 + scale_ij), or None."""
+    k = left.shape[2]
+    m = left.conj().transpose(0, 2, 1)[:, None] @ right[None]
+    if lam is None:
+        lam = np.trace(m, axis1=2, axis2=3) / k
+    residual = np.linalg.norm(m - lam[:, :, None, None] * np.eye(k), axis=(2, 3))
+    bad = np.argwhere(residual > tol * (1.0 + scale))
+    return lam, residual, (tuple(int(x) for x in bad[0]) if bad.size else None)
+
+
 def detect(code: QuantumCode, e, tol: float = DEFAULT_TOL) -> DetectionResult:
     """Test P E P = lambda P with lambda estimated as Tr(P E P) / K.
 
     The residual ||P E P - lambda P||_F is reported whether or not it clears
-    the threshold tol * (1 + ||E||_F).
+    the threshold tol * (1 + ||E||_F).  Frobenius norms are isometry-invariant,
+    so it is the residual of the K x K compression V† E V.
     """
     e = np.asarray(e, dtype=complex)
     n = code.ambient_dim
     if e.shape != (n, n):
         raise DimensionMismatchError(f"operator shape {e.shape} does not match ambient dim {n}")
     v = code.isometry
-    compressed = dagger(v) @ e @ v
-    lam = complex(np.trace(compressed)) / code.code_dim
-    # Frobenius norms are isometry-invariant, so the residual of the
-    # compressed K x K problem equals the ambient one.
-    residual = frob(compressed - lam * np.eye(code.code_dim))
-    ok = residual <= tol * (1.0 + frob(e))
-    return DetectionResult(ok, lam if ok else None, residual)
+    lam, residual, bad = _scalar_check(v[None], (e @ v)[None], frob(e), tol)
+    return DetectionResult(bad is None, complex(lam[0, 0]) if bad is None else None, float(residual[0, 0]))
 
 
 @dataclass
@@ -132,24 +145,16 @@ class DetectableSpaceForm:
     dimension: int
 
     def contains(self, e, tol: float = DEFAULT_TOL) -> bool:
-        e = np.asarray(e, dtype=complex)
-        k = self.code_dim
-        x = dagger(self.basis_change) @ e @ self.basis_change
-        top = x[:k, :k]
-        lam = np.trace(top) / k
-        return frob(top - lam * np.eye(k)) <= tol * (1.0 + frob(e))
+        """`detect` on the code spanned by the first K basis columns."""
+        return detect(QuantumCode(self.basis_change[:, : self.code_dim]), e, tol).detectable
 
 
 def detectable_space_form(code: QuantumCode) -> DetectableSpaceForm:
-    """Basis (code first, completed to the ambient dimension) plus the
-    dimension count N^2 - K^2 + 1 of the detectable operator space."""
+    """Basis [V, complete_isometry(V)] (code first) plus the dimension count
+    N^2 - K^2 + 1 of the detectable operator space."""
     n, k = code.ambient_dim, code.code_dim
-    candidates = [code.isometry[:, j] for j in range(k)]
-    candidates += [basis_state(j, n) for j in range(n)]
-    cols, _ = orthonormal_columns(candidates)
-    if cols.shape[1] != n:
-        raise DependentInputError("failed to complete the code basis")  # pragma: no cover
-    return DetectableSpaceForm(cols, k, n * n - k * k + 1)
+    v = code.isometry
+    return DetectableSpaceForm(np.hstack([v, complete_isometry(v)]), k, n * n - k * k + 1)
 
 
 @dataclass
@@ -159,39 +164,46 @@ class CorrectabilityResult:
     offending_pair: tuple[int, int] | None
 
 
-def correctability(code: QuantumCode, errors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CorrectabilityResult:
-    """Pairwise detectability of E_i† E_j; on success returns the Hermitian
-    PSD scalar matrix (lambda_ij).
-
-    The offending pair is reported with 0-based indices.
-    """
+def _pair_check(code: QuantumCode, errors: Sequence[np.ndarray], tol: float, lam: np.ndarray | None = None):
+    """Knill-Laflamme test of every pair on the (r, N, K) stack B_i = E_i V at
+    tol * (1 + ||E_i V||_F ||E_j V||_F); returns B, lambda and the first
+    failing pair or None."""
     errs = [np.asarray(e, dtype=complex) for e in errors]
-    n = code.ambient_dim
+    n, k = code.ambient_dim, code.code_dim
     if any(e.shape != (n, n) for e in errs):
         raise DimensionMismatchError("all error operators must match the ambient dimension")
-    v = code.isometry
-    k = code.code_dim
-    compressed = [e @ v for e in errs]  # N x K, enough for every pairwise test
-    # ||E_i† E_j||_F^2 = Tr((E_i E_i†)(E_j E_j†)) gives the detect threshold
-    # scale without forming any N x N product of errors.
-    grams = [e @ dagger(e) for e in errs]
-    r = len(errs)
-    lam = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            m = dagger(compressed[i]) @ compressed[j]
-            lam_ij = complex(np.trace(m)) / k
-            # Each Gram matrix is Hermitian, so Tr(G_i G_j) = <G_i, G_j>_HS.
-            pair_norm = np.sqrt(max(0.0, float(np.vdot(grams[i], grams[j]).real)))
-            if frob(m - lam_ij * np.eye(k)) > tol * (1.0 + pair_norm):
-                return CorrectabilityResult(False, None, (i, j))
-            lam[i, j] = lam_ij
+    b = np.array([e @ code.isometry for e in errs], dtype=complex).reshape(len(errs), n, k)
+    norms = np.linalg.norm(b, axis=(1, 2))
+    lam, _, bad = _scalar_check(b, b, np.outer(norms, norms), tol, lam)
+    return b, lam, bad
+
+
+def _hermitian_psd(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Hermitian part of a scalar matrix; raises NotPSDError unless
+    ||lam - lam†||_F <= tol * (1 + ||lam||_F) and no eigenvalue lies below
+    -tol * max(1, lambda_max)."""
+    if frob(lam - dagger(lam)) > tol * (1.0 + frob(lam)):
+        raise NotPSDError("scalar matrix is not Hermitian within tolerance")
     herm = (lam + dagger(lam)) / 2.0
-    if frob(lam - herm) > tol * (1.0 + frob(lam)):
-        return CorrectabilityResult(False, None, (0, 0))  # pragma: no cover
     vals = np.linalg.eigvalsh(herm)
     if vals.size and vals[0] < -tol * max(1.0, float(vals[-1])):
-        return CorrectabilityResult(False, None, (0, 0))  # pragma: no cover
+        raise NotPSDError("scalar matrix has a negative eigenvalue beyond tolerance")
+    return herm
+
+
+def correctability(code: QuantumCode, errors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CorrectabilityResult:
+    """Knill-Laflamme test V† E_i† E_j V = lambda_ij I, lambda_ij = Tr / K, at
+    tol * (1 + ||E_i V||_F ||E_j V||_F) for every pair; on success returns the
+    Hermitian PSD scalar matrix (lambda_ij), otherwise the first failing pair
+    in row-major order (0-based).
+    """
+    _, lam, bad = _pair_check(code, errors, tol)
+    if bad is not None:
+        return CorrectabilityResult(False, None, bad)
+    try:
+        _hermitian_psd(lam, tol)
+    except NotPSDError:  # pragma: no cover
+        return CorrectabilityResult(False, None, (0, 0))
     return CorrectabilityResult(True, lam, None)
 
 
@@ -216,13 +228,9 @@ def _sorted_eigh(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     broken by entrywise lexicographic comparison of the eigenvectors (larger
     leading entries first), which keeps diag inputs in natural order."""
     vals, vecs = np.linalg.eigh(lam)
-    keys = []
-    for idx in range(vals.size):
-        entries = []
-        for x in vecs[:, idx]:
-            entries.extend((-x.real, -x.imag))
-        keys.append((float(vals[idx]), tuple(entries)))
-    order = sorted(range(vals.size), key=lambda i: keys[i])
+    # Keys (-Re v_0, -Im v_0, -Re v_1, ...) per column; lexsort ranks by its last key first.
+    entries = np.stack([-vecs.real, -vecs.imag], axis=1).reshape(2 * vals.size, vals.size)
+    order = np.lexsort(np.vstack([entries[::-1], vals[None]]))
     return vals[order], vecs[:, order]
 
 
@@ -233,6 +241,9 @@ def build_recovery(
     tol: float = DEFAULT_TOL,
 ) -> RecoveryChannel:
     """Synthesize the recovery channel for a correctable error list.
+
+    lam must be Hermitian PSD within tol (else NotPSDError) and pass every pair
+    test at tol * (1 + ||E_i V||_F ||E_j V||_F) (else ConditionViolatedError).
 
     Diagonalizes the scalar matrix and recombines the errors along its
     eigenvectors.  On the code each recombination F_k acts as sqrt(d_k) times
@@ -246,30 +257,18 @@ def build_recovery(
     leftover projector when needed).  Recombinations whose diagonal weight is
     below tolerance act as zero on the code and are skipped.
     """
-    errs = [np.asarray(e, dtype=complex) for e in errors]
     n = code.ambient_dim
     lam = np.asarray(lam, dtype=complex)
-    r = len(errs)
+    r = len(errors)
     if lam.shape != (r, r):
         raise DimensionMismatchError(f"scalar matrix shape {lam.shape} does not match {r} errors")
-    if frob(lam - dagger(lam)) > tol * (1.0 + frob(lam)):
-        raise NotPSDError("scalar matrix is not Hermitian within tolerance")
-    vals_check = np.linalg.eigvalsh((lam + dagger(lam)) / 2.0)
-    if vals_check.size and vals_check[0] < -tol * max(1.0, float(vals_check[-1])):
-        raise NotPSDError("scalar matrix has a negative eigenvalue beyond tolerance")
+    herm = _hermitian_psd(lam, tol)
+    images, _, bad = _pair_check(code, errors, tol, lam)
+    if bad is not None:
+        raise ConditionViolatedError(f"pair {bad} violates the scalar-compression condition")
 
-    v = code.isometry
-    k = code.code_dim
-    compressed = [e @ v for e in errs]
-    for i in range(r):
-        for j in range(r):
-            m = dagger(compressed[i]) @ compressed[j]
-            if frob(m - lam[i, j] * np.eye(k)) > max(tol, 1e-7) * (1.0 + frob(m)):
-                raise ConditionViolatedError(
-                    f"pair ({i}, {j}) violates the scalar-compression condition"
-                )
-
-    dvals, u = _sorted_eigh((lam + dagger(lam)) / 2.0)
+    v, k = code.isometry, code.code_dim
+    dvals, u = _sorted_eigh(herm)
     dmax = float(dvals[-1]) if dvals.size else 0.0
     unitaries = []
     syndromes = []  # isometries U_k V whose ranges are the syndrome subspaces
@@ -278,7 +277,7 @@ def build_recovery(
         d = float(dvals[idx])
         if d <= tol * max(1.0, dmax):
             continue
-        fv = sum(u[i, idx] * compressed[i] for i in range(r))  # F_k V, never F_k
+        fv = sum(u[i, idx] * images[i] for i in range(r))  # F_k V, never F_k
         c, kept = orthonormal_columns(list((fv / np.sqrt(d)).T))
         if len(kept) != k:
             raise ConditionViolatedError("recombined error collapses the code")  # pragma: no cover
@@ -290,14 +289,9 @@ def build_recovery(
         weights.append(d)
 
     kraus = [v @ dagger(c) for c in syndromes]
-    proj_sum = np.zeros((n, n), dtype=complex)
-    projectors = []
-    for c in syndromes:
-        p = c @ dagger(c)
-        projectors.append(p)
-        proj_sum += p
+    projectors = [c @ dagger(c) for c in syndromes]
     completion = None
-    leftover = np.eye(n) - proj_sum
+    leftover = np.eye(n) - sum(projectors, np.zeros((n, n), dtype=complex))
     if frob(leftover) > tol * n:
         completion = (leftover + dagger(leftover)) / 2.0
         kraus.append(completion)

@@ -146,6 +146,18 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_centre_of_full_algebra_refused_before_allocating(self):
+        # M_17: the centre stack is 17^2 * 289 x 289, 16 * 289^3 bytes > 256 MiB.
+        space = OperatorSpace(list(np.eye(17 * 17, dtype=complex).reshape(-1, 17, 17)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                wedderburn_structure(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_limit_admits_dimension_64(self):
         require_superoperator_size(16 * 64**4, "N = 64")
         with pytest.raises(SizeLimitError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,15 @@ class TestChannelProperties:
         b = phase_flip(0.4)
         joint = KrausChannel(list(a.operators) + list(b.operators))
         assert frob(choi_matrix(joint) - choi_matrix(a) - choi_matrix(b)) <= 1e-12
+
+    def test_construction_forms_no_operator_product(self):
+        # One 1024 x 1024 complex array is 16 MiB; sum E† E would need several.
+        ops = [np.eye(1024, dtype=complex), np.zeros((1024, 1024), dtype=complex)]
+        tracemalloc.start()
+        try:
+            ch = KrausChannel(ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert ch.tp_residual == 0.0 and ch.trace_preserving

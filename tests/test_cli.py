@@ -148,6 +148,14 @@ def test_oversized_superoperator_exits_3(tmp_path, capsys, verb):
     assert json.loads(err.splitlines()[0])["error"] == "SizeLimitError"
 
 
+def test_oversized_centre_exits_3(tmp_path, capsys):
+    generators = write(tmp_path / "id17.json", [matrix_to_json(np.eye(17))])
+    code, out, err = run(capsys, ["structure", "--generators", generators])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err.splitlines()[0])["error"] == "SizeLimitError"
+
+
 def test_dead_subspace_report(capsys):
     code, out, _ = run(capsys, ["dead-subspace", "--channel", "builtin:dead_row?d=4"])
     assert code == 0

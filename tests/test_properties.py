@@ -125,6 +125,74 @@ def test_knill_laflamme_implies_recovery(instance):
     assert verify_recovery(noisy, rec, code) <= 1e-9
 
 
+def _reference_correctability(code, errors, tol: float = 1e-9):
+    """Per-pair Knill-Laflamme loop: verdict, scalar matrix and the first
+    failing pair in row-major order, at tol * (1 + ||E_i V||_F ||E_j V||_F)."""
+    v, k, r = code.isometry, code.code_dim, len(errors)
+    images = [e @ v for e in errors]
+    lam = np.zeros((r, r), dtype=complex)
+    for i in range(r):
+        for j in range(r):
+            m = dagger(images[i]) @ images[j]
+            lam[i, j] = np.trace(m) / k
+            if frob(m - lam[i, j] * np.eye(k)) > tol * (1.0 + frob(images[i]) * frob(images[j])):
+                return False, None, (i, j)
+    return True, lam, None
+
+
+@settings(deadline=None)
+@given(correctable_instances(), st.data())
+def test_correctability_matches_per_pair_reference(instance, data):
+    """Random Gaussian errors inserted into a correctable list usually break
+    the condition (never on a one-dimensional code)."""
+    code, errors, _ = instance
+    rng = np.random.default_rng(data.draw(SEEDS))
+    n = code.ambient_dim
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(errors)))
+        errors.insert(at, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    ok, lam, pair = _reference_correctability(code, errors)
+    result = correctability(code, errors)
+    assert (result.correctable, result.offending_pair) == (ok, pair)
+    if ok:
+        assert np.allclose(result.lambda_matrix, lam, rtol=0.0, atol=1e-12)
+    else:
+        assert result.lambda_matrix is None
+
+
+def _reference_sorted_eigh(lam):
+    """Ascending eigenvalues, ties broken by Python tuple keys over
+    (-Re, -Im) of the eigenvector entries."""
+    vals, vecs = np.linalg.eigh(lam)
+    keys = []
+    for idx in range(vals.size):
+        entries = []
+        for x in vecs[:, idx]:
+            entries.extend((-x.real, -x.imag))
+        keys.append((float(vals[idx]), tuple(entries)))
+    order = sorted(range(vals.size), key=lambda i: keys[i])
+    return vals[order], vecs[:, order]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 8), st.sampled_from(["random", "diagonal", "scalar", "degenerate"]), SEEDS)
+def test_sorted_eigh_matches_tuple_key_reference(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lam = g + dagger(g)
+    elif kind == "diagonal":
+        lam = np.diag(rng.integers(0, 3, n).astype(float)).astype(complex)
+    elif kind == "scalar":
+        lam = float(rng.integers(0, 3)) * np.eye(n, dtype=complex)
+    else:
+        w = haar_random_unitary(n, rng) if n else np.eye(0, dtype=complex)
+        lam = (w * rng.integers(0, 2, n)) @ dagger(w)
+    vals, vecs = _sorted_eigh(lam)
+    ref_vals, ref_vecs = _reference_sorted_eigh(lam)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
 # ---------------------------------------------------------------------------
 # Pair codec: the vectorised encoder and decoder against the per-entry ones
 # they replaced, kept here verbatim as the reference.

@@ -149,6 +149,16 @@ class TestCorrectability:
             errs = [np.eye(512)] + [embed_single(gate(p), k, 9) for p in "XYZ"]
             assert correctability(code, errs).correctable
 
+    def test_empty_error_list(self):
+        code = builtin_code("repetition3")
+        result = correctability(code, [])
+        assert result.correctable and result.offending_pair is None
+        assert result.lambda_matrix.shape == (0, 0)
+        rec = build_recovery(code, [], np.zeros((0, 0)))
+        assert rec.projectors == [] and rec.unitaries == []
+        assert frob(rec.completion - np.eye(8)) == 0.0
+        assert len(rec.channel.operators) == 1 and rec.channel.trace_preserving
+
     def test_lambda_psd_and_trace_for_tp_list(self):
         probs = [0.85, 0.05, 0.05, 0.05]
         errs = [np.sqrt(p) * e for p, e in zip(probs, xflip_errors())]
@@ -238,6 +248,17 @@ class TestRecovery:
             build_recovery(code, errs, -np.eye(4))
         with pytest.raises(ConditionViolatedError):
             build_recovery(code, errs, np.diag([1.0, 2.0, 3.0, 4.0]))
+
+    def test_lambda_checked_at_the_correctability_threshold(self):
+        # ||V† E_0† E_0 V - (1 + 1e-8) I||_F = 1.4e-8 exceeds 1e-9 * (1 + 2).
+        code = builtin_code("repetition3")
+        errs = xflip_errors()
+        lam = np.eye(4)
+        lam[0, 0] += 1e-8
+        with pytest.raises(ConditionViolatedError, match=r"pair \(0, 0\)"):
+            build_recovery(code, errs, lam)
+        rec = build_recovery(code, errs, lam, tol=1e-6)
+        assert len(rec.projectors) == 4
 
     def test_verify_tolerance_reaches_trace_preservation(self):
         code = builtin_code("repetition3")
