@@ -1,27 +1,27 @@
-"""Noise-commutant machinery: interaction-algebra closure, commutants and
+"""Noise-commutant machinery: interaction algebras, commutants and
 fixed-point sets, the unitality equivalence between them, block structure of
 finite-dimensional †-closed operator algebras, noiseless-subsystem encoders,
 and the dead-subspace test for singular images of the identity.
 
-Operators are vectorized row-major throughout, and subspace work reduces to
-numerical null spaces.  Commutants are solved in block coordinates: the
-eigenbasis of one random Hermitian element of the generated algebra leaves
-only the entries inside its eigenvalue clusters unknown.  Algebra closures
-grow by generator words in batched Krylov rounds, and the centre is solved in
-the coefficient coordinates of the algebra's basis.  Only `fixed_point_set`
-builds an N^2 x N^2 superoperator, and it refuses above
+Operators are vectorized row-major throughout.  One resolver finds the block
+structure (+) I_m (x) M_n of the †-algebra generated by a list of matrices
+from random elements of it (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+Appl. Math. 27, 2010); the interaction algebra, the commutant, the Wedderburn
+structure and the noiseless subsystems are all read off it.  Emitted bases
+and the one N^2 x N^2 superoperator (`fixed_point_set`) refuse above
 linalg.MAX_SUPEROPERATOR_BYTES.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# classify stays bound here: bench/tracing.py wraps it under this module.
+# bench/tracing.py wraps classify, null_space_basis and orthonormal_columns
+# under this module, so all three stay bound here.
 from .channels import KrausChannel, classify  # noqa: F401
 from .errors import (
     DimensionMismatchError,
@@ -36,7 +36,7 @@ from .linalg import (
     frob,
     kron,
     null_space_basis,
-    orthonormal_columns,
+    orthonormal_columns,  # noqa: F401
     require_superoperator_size,
 )
 
@@ -133,59 +133,6 @@ def _closure(seed_ops: Sequence[np.ndarray], n: int, include_adjoints: bool, inc
     return _space_from_vec_columns(cols, n)
 
 
-def interaction_algebra(ch: KrausChannel) -> OperatorSpace:
-    """†-closed unital algebra generated by the channel's Kraus operators."""
-    return _closure(ch.operators, ch.dim, include_adjoints=True, include_identity=True)
-
-
-def commutant(generators: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """Operators commuting with every generator and every adjoint.
-
-    Random-element block diagonalisation: every such X commutes with the
-    Hermitian H = sum c_i G_i + h.c., so in an eigenbasis W of H the matrix
-    W† X W is block diagonal over H's eigenvalue clusters.  Only those
-    p = sum m_c^2 within-cluster entries are unknowns of the commutator
-    null space.  The fixed draw of the c_i only sets p: merged clusters make
-    p larger (N^2 when H is scalar), never the answer wrong.  Raises
-    SizeLimitError when the 2k N^2 x p constraint stack of k generators would
-    exceed linalg.MAX_SUPEROPERATOR_BYTES.
-    """
-    mats = [np.asarray(g, dtype=complex) for g in generators]
-    if not mats:
-        raise DimensionMismatchError("need at least one generator")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise DimensionMismatchError("generators must share one square shape")
-    gens = np.stack(mats)
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-    a = np.tensordot(c, gens, axes=1)
-    vals, w = np.linalg.eigh(a + dagger(a))
-    # Clusters relative to ||H||, not to the spread: a scalar H plus rounding
-    # noise must stay one cluster.
-    norm = float(np.max(np.abs(vals)))
-    groups = _cluster(vals / norm if norm > 0 else vals)
-    ia = np.concatenate([np.repeat(g, len(g)) for g in groups])
-    ib = np.concatenate([np.tile(g, len(g)) for g in groups])
-    k = np.arange(ia.size)
-    require_superoperator_size(
-        32 * len(mats) * n * n * ia.size, f"commutant constraint stack with {ia.size} unknowns at dimension {n}"
-    )
-    rows = []
-    for g in dagger(w) @ gens @ w:
-        for h in (g, dagger(g)):
-            # Column k is vec(h E_ab - E_ab h) for the unknown (a, b) = (ia[k], ib[k]).
-            col = np.zeros((n, n, ia.size), dtype=complex)
-            col[:, ib, k] = h[:, ia]
-            col[ia, :, k] -= h[ib, :]
-            rows.append(col.reshape(n * n, ia.size))
-    scale = max(1.0, max(frob(g) for g in mats))
-    coeffs = null_space_basis(np.vstack(rows), tol, scale=scale)
-    y = np.zeros((coeffs.shape[1], n, n), dtype=complex)
-    y[:, ia, ib] = coeffs.T
-    return OperatorSpace(list(w @ y @ dagger(w)))
-
-
 def channel_superoperator(ch: KrausChannel) -> np.ndarray:
     """N^2 x N^2 matrix of the channel on row-major vectorized operators.
 
@@ -244,193 +191,245 @@ class AlgebraStructure:
     block_offsets: list[int]
 
 
-class _ResolutionMiss(Exception):
-    """Internal: ambiguous random split, retry with another seed."""
+def _chunks(count: int, n: int) -> list[slice]:
+    """Slices of at most 2^20 / N^2 matrices, so batched N x N work on a long
+    list holds about 16 MiB per temporary."""
+    step = max(1, 2**20 // (n * n))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _verify_algebra(space: OperatorSpace, tol: float) -> None:
+def _cluster_starts(vals: np.ndarray, gap: float) -> np.ndarray:
+    """First indices of the groups of ascending eigenvalues, split where
+    neighbours differ by more than gap."""
+    return np.concatenate([[0], np.flatnonzero(np.diff(vals) > gap) + 1])
+
+
+def _assemble(raw: list[tuple[int, int, np.ndarray]]) -> AlgebraStructure:
+    """Structure from (m, n, columns) blocks, sorted by (n, m) descending."""
+    order = sorted(range(len(raw)), key=lambda i: (-raw[i][1], -raw[i][0], i))
+    blocks = [(raw[i][0], raw[i][1]) for i in order]
+    offsets = list(accumulate((m * n for m, n in blocks[:-1]), initial=0))
+    return AlgebraStructure(blocks, np.hstack([raw[i][2] for i in order]), offsets)
+
+
+def _draw_structure(gens: np.ndarray, cut: float, degree: int, rng: np.random.Generator) -> AlgebraStructure | None:
+    """One random draw of the block structure of the unital †-algebra
+    generated by the stack `gens`, or None when the draw is inconsistent.
+
+    The eigenvalue clusters of a random Hermitian H in the algebra are its
+    minimal projections, each m times.  H is the Hermitian part of the words
+    R_0 ... R_t (t < degree, each scaled to unit norm, R_j random in
+    span{G_i, G_i†}) plus sum r_i G_i† G_i + s_i G_i G_i†: anticommuting
+    generators leave low-degree words with one spectrum on two blocks, and
+    rank-deficient ones (|0><i|) leave short products degenerate in a block.
+    K = R + R† joins two clusters when its block between them exceeds
+    cut * ||K||_F.  Along a maximum-weight spanning tree of each component,
+    a child cluster is aligned to its parent by the polar factor of
+    M = K_{child, parent} A_parent (M sqrt(m) / ||M||_F when M is a multiple
+    of a unitary, as within one block), so tree blocks of K become scalars.
+    """
+    k, n = gens.shape[0], gens.shape[1]
+    c = rng.standard_normal((2, degree + 1, k)) + 1j * rng.standard_normal((2, degree + 1, k))
+    rand = np.tensordot(c[0], gens, axes=1) + np.tensordot(c[1], gens, axes=1).conj().transpose(0, 2, 1)
+    r = rng.standard_normal((2, k))
+    h = np.zeros((n, n), dtype=complex)
+    word = np.eye(n)
+    for factor in rand[:degree]:
+        word = word @ factor
+        size = frob(word)
+        if size == 0:
+            break
+        h += (word + dagger(word)) / size
+    for part in _chunks(k, n):
+        g = gens[part]
+        gt = g.conj().transpose(0, 2, 1)
+        h += np.tensordot(r[0, part], gt @ g, axes=1) + np.tensordot(r[1, part], g @ gt, axes=1)
+    vals, w = np.linalg.eigh(h)
+    # Gaps relative to ||H||, not to the spread: a scalar H plus rounding
+    # noise must stay one cluster.
+    starts = _cluster_starts(vals, cut * float(np.max(np.abs(vals))))
+    sizes = np.diff(np.append(starts, n))
+    kw = dagger(w) @ (rand[degree] + dagger(rand[degree])) @ w
+    weight = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(kw) ** 2, starts, axis=0), starts, axis=1))
+    np.fill_diagonal(weight, 0.0)
+    floor = cut * frob(kw)
+
+    # Prim's algorithm over the clusters; a new component starts whenever no
+    # open cluster has an edge above the floor.
+    count = len(starts)
+    parent = np.full(count, -1)
+    best = np.zeros(count)
+    done = np.zeros(count, dtype=bool)
+    components: list[list[int]] = []
+    for _ in range(count):
+        open_best = np.where(done, -1.0, best)
+        j = int(np.argmax(open_best))
+        if open_best[j] <= floor:
+            j = int(np.argmin(done))
+            parent[j] = -1
+            components.append([])
+        done[j] = True
+        components[-1].append(j)
+        closer = ~done & (weight[j] > best)
+        best[closer] = weight[j, closer]
+        parent[closer] = j
+
+    raw = []
+    align: dict[int, np.ndarray] = {}
+    for comp in components:
+        m = int(sizes[comp[0]])
+        if any(sizes[j] != m for j in comp):
+            return None
+        span = {j: slice(starts[j], starts[j] + m) for j in comp}
+        for j in comp:
+            if parent[j] < 0:
+                align[j] = np.eye(m)
+            else:
+                u, _, vh = np.linalg.svd(kw[span[j], span[parent[j]]] @ align[parent[j]])
+                align[j] = u @ vh
+        # Column alpha * n + i holds the alpha-th aligned vector of cluster i.
+        block = np.stack([w[:, span[j]] @ align[j] for j in comp], axis=2)
+        raw.append((m, len(comp), block.reshape(n, m * len(comp))))
+    return _assemble(raw)
+
+
+def _resolve(generators: Sequence[np.ndarray], tol: float, seed: int) -> AlgebraStructure:
+    """Block structure of the unital †-algebra generated by `generators`.
+
+    Certificate: every generator, scaled to unit norm, fits the pattern
+    (+) I_m (x) M_n within max(tol, 1e-9) (`structure_residual`).  The
+    generated algebra then lies inside the pattern, and it is all of it: the
+    spectral projectors of H and the nonzero blocks of K between clusters
+    are elements of the algebra that generate every I (x) E_ij.  A draw that
+    fails the certificate is retried with the next seed and one more word
+    degree, five draws in all.
+    """
+    gens = np.stack([np.asarray(g, dtype=complex) for g in generators])
+    norms = np.linalg.norm(gens, axis=(1, 2))
+    gens /= np.where(norms > 0, norms, 1.0)[:, None, None]
+    cut = max(tol, 1e-9)
+    for attempt in range(5):
+        structure = _draw_structure(gens, cut, attempt + 2, np.random.default_rng(seed + attempt))
+        if structure is not None and _pattern_residual(gens, structure) <= cut:
+            return structure
+    raise StructureResolutionError("could not resolve block structure after 5 seeded retries")
+
+
+def _commutant_structure(structure: AlgebraStructure) -> AlgebraStructure:
+    """Structure of the commutant (+) M_m (x) I_n of (+) I_m (x) M_n: the same
+    columns, re-indexed within each block so that it reads (+) I_n (x) M_m."""
+    n = structure.basis_change.shape[0]
+    raw = []
+    for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
+        cols = structure.basis_change[:, off : off + m_block * n_block]
+        raw.append((n_block, m_block, cols.reshape(n, m_block, n_block).transpose(0, 2, 1).reshape(n, -1)))
+    return _assemble(raw)
+
+
+def _pattern_span(structure: AlgebraStructure, what: str) -> OperatorSpace:
+    """HS-orthonormal basis W (I_m (x) E_ij) W† / sqrt(m) of the algebra with
+    this structure.  Raises SizeLimitError when the d N^2 basis would exceed
+    linalg.MAX_SUPEROPERATOR_BYTES."""
+    w = structure.basis_change
+    n = w.shape[0]
+    dim = sum(n_block * n_block for _, n_block in structure.blocks)
+    require_superoperator_size(16 * dim * n * n, f"{dim}-dimensional {what} basis at dimension {n}")
+    basis = []
+    for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
+        # m^(-1/4) on both factors gives the 1/sqrt(m) normalisation.
+        v = w[:, off : off + m_block * n_block].reshape(n, m_block, n_block) / m_block**0.25
+        basis.extend(np.einsum("xai,yaj->ijxy", v, v.conj()).reshape(-1, n, n))
+    return OperatorSpace(basis)
+
+
+def interaction_algebra(ch: KrausChannel) -> OperatorSpace:
+    """†-closed unital algebra generated by the channel's Kraus operators,
+    emitted as W (+) (I_m (x) M_n) W† from its certified block structure
+    (`_resolve`).  Raises SizeLimitError when the d N^2 basis would exceed
+    linalg.MAX_SUPEROPERATOR_BYTES, and StructureResolutionError when no
+    draw certifies."""
+    return _pattern_span(_resolve(ch.operators, DEFAULT_TOL, 0), "interaction algebra")
+
+
+def commutant(generators: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> OperatorSpace:
+    """Operators commuting with every generator and every adjoint.
+
+    The commutant of the †-algebra (+) I_m (x) M_n generated by the
+    generators is W (+) (M_m (x) I_n) W†, emitted directly from the certified
+    block structure (`_resolve`; tol reaches its certificate).  Raises
+    SizeLimitError when the d N^2 basis would exceed
+    linalg.MAX_SUPEROPERATOR_BYTES, and StructureResolutionError when no
+    draw certifies.
+    """
+    mats = [np.asarray(g, dtype=complex) for g in generators]
+    if not mats:
+        raise DimensionMismatchError("need at least one generator")
+    n = mats[0].shape[0]
+    if any(m.shape != (n, n) for m in mats):
+        raise DimensionMismatchError("generators must share one square shape")
+    return _pattern_span(_commutant_structure(_resolve(mats, tol, 0)), "commutant")
+
+
+def _require_algebra(space: OperatorSpace, tol: float) -> None:
+    """Raise NotAnAlgebraError unless the identity, every adjoint and the
+    product of two random unit-norm elements lie in the space."""
     n = space.ambient_dim
     check = max(tol, 1e-9)
     if not space.contains(np.eye(n), check * n):
         raise NotAnAlgebraError("space does not contain the identity")
-    for b in space.basis:
-        if not space.contains(dagger(b), check):
-            raise NotAnAlgebraError("space is not adjoint-closed")
-    for a in space.basis:
-        for b in space.basis:
-            if not space.contains(a @ b, check):
-                raise NotAnAlgebraError("space is not closed under products")
-
-
-def _cluster(vals: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
-    """Group ascending eigenvalues, splitting at gaps above rel_gap times the
-    total spread."""
-    spread = float(vals[-1] - vals[0]) if vals.size else 0.0
-    gap = rel_gap * max(spread, 1.0)
-    groups = [[0]]
-    for i in range(1, vals.size):
-        if vals[i] - vals[i - 1] > gap:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return groups
-
-
-def _hermitian_basis(mats: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Real-orthonormal Hermitian basis spanning a †-closed complex span.
-
-    The rank comes from a thin SVD of the candidates' stacked real vectors
-    [re; im], cut at max(tol, 1e-9) * sigma_max: near-dependent Hermitian and
-    anti-Hermitian parts of a mixed basis leave residuals far above machine
-    precision, which a fixed Gram-Schmidt drop would keep as spurious
-    elements.  Real singular vectors of Hermitian candidates are Hermitian.
-    """
-    n = mats[0].shape[0]
-    herm = []
-    for m in mats:
-        herm.append((m + dagger(m)) / 2.0)
-        herm.append((m - dagger(m)) / 2.0j)
-    flat = np.stack(herm).reshape(len(herm), n * n)
-    u, s, _ = np.linalg.svd(np.vstack([flat.real.T, flat.imag.T]), full_matrices=False)
-    u = u[:, s > max(tol, 1e-9) * s[0]]
-    return list((u[: n * n] + 1j * u[n * n :]).T.reshape(-1, n, n))
-
-
-def _center(space: OperatorSpace, tol: float) -> list[np.ndarray]:
-    """Intersection of the algebra with its own commutant, solved in the
-    coefficient coordinates of the given basis."""
-    n = space.ambient_dim
-    basis = np.stack(space.basis)
-    d = len(basis)
-    rows = [(b @ basis - basis @ b).reshape(d, n * n).T for b in basis]
-    coeffs = null_space_basis(np.vstack(rows), tol, scale=1.0)
-    return list(np.tensordot(coeffs.T, basis, axes=1))
-
-
-def _random_hermitian(hbasis: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    w = rng.standard_normal(len(hbasis))
-    return sum(wi * h for wi, h in zip(w, hbasis))
-
-
-def _align_block(
-    comp_cols: np.ndarray, dim: int, n_block: int, m_block: int, rng: np.random.Generator, tol: float
-) -> np.ndarray:
-    """Basis of C^dim (dim = m*n) realizing the ampliation pattern for one
-    block, built from eigen-clusters of a random Hermitian algebra element
-    aligned across clusters by a generic intertwining algebra element."""
-    comp_mats = [comp_cols[:, j].reshape(dim, dim) for j in range(comp_cols.shape[1])]
-    hbasis = _hermitian_basis(comp_mats, tol)
-    for _ in range(4):
-        h = _random_hermitian(hbasis, rng)
-        vals, vecs = np.linalg.eigh(h)
-        groups = _cluster(vals)
-        if len(groups) == n_block and all(len(g) == m_block for g in groups):
-            break
-    else:
-        raise _ResolutionMiss
-    eigenspaces = [vecs[:, g] for g in groups]
-    for _ in range(4):
-        coeff = rng.standard_normal(len(comp_mats)) + 1j * rng.standard_normal(len(comp_mats))
-        g = sum(c * m for c, m in zip(coeff, comp_mats))
-        aligned = [eigenspaces[0]]
-        ok = True
-        for i in range(1, n_block):
-            m = dagger(eigenspaces[i]) @ g @ eigenspaces[0]
-            c2 = float(np.vdot(m, m).real) / m_block
-            # The compression of the algebra between two eigen-clusters is one
-            # dimensional, so m must be a scalar multiple of a unitary.
-            if c2 <= 1e-12 or frob(dagger(m) @ m - c2 * np.eye(m_block)) > 1e-7 * c2 * m_block:
-                ok = False
-                break
-            aligned.append(eigenspaces[i] @ (m / np.sqrt(c2)))
-        if ok:
-            cols = np.zeros((dim, dim), dtype=complex)
-            for alpha in range(m_block):
-                for i in range(n_block):
-                    cols[:, alpha * n_block + i] = aligned[i][:, alpha]
-            return cols
-    raise _ResolutionMiss
-
-
-def _resolve_structure(space: OperatorSpace, tol: float, seed: int) -> AlgebraStructure:
-    n = space.ambient_dim
-    rng = np.random.default_rng(seed)
-    hcenter = _hermitian_basis(_center(space, tol), tol)
-    z = _random_hermitian(hcenter, rng)
-    vals, vecs = np.linalg.eigh(z)
-    raw_blocks = []
-    for group in _cluster(vals):
-        w = vecs[:, group]  # ambient isometry onto the central block
-        d_spatial = len(group)
-        comp = [dagger(w) @ b @ w for b in space.basis]
-        comp_cols, _ = orthonormal_columns([_vec(c) for c in comp])
-        d_alg = comp_cols.shape[1]
-        n_block = math.isqrt(d_alg)
-        if n_block * n_block != d_alg or d_spatial % n_block != 0:
-            raise _ResolutionMiss
-        m_block = d_spatial // n_block
-        if n_block == 1:
-            block_cols = w
-        else:
-            block_cols = w @ _align_block(comp_cols, d_spatial, n_block, m_block, rng, tol)
-        raw_blocks.append((m_block, n_block, block_cols))
-
-    if sum(nb * nb for _, nb, _ in raw_blocks) != space.dim:
-        raise _ResolutionMiss
-    order = sorted(range(len(raw_blocks)), key=lambda i: (-raw_blocks[i][1], -raw_blocks[i][0], i))
-    blocks = [(raw_blocks[i][0], raw_blocks[i][1]) for i in order]
-    basis_change = np.hstack([raw_blocks[i][2] for i in order])
-    offsets = []
-    pos = 0
-    for m_block, n_block in blocks:
-        offsets.append(pos)
-        pos += m_block * n_block
-    structure = AlgebraStructure(blocks, basis_change, offsets)
-    if structure_residual(space, structure) > max(tol, 1e-9):
-        raise _ResolutionMiss
-    return structure
+    if not all(space.contains(dagger(b), check) for b in space.basis):
+        raise NotAnAlgebraError("space is not adjoint-closed")
+    rng = np.random.default_rng(0)
+    a, b = (space.vecs @ (rng.standard_normal((space.dim, 2)) + 1j * rng.standard_normal((space.dim, 2)))).T
+    if not space.contains((a / np.linalg.norm(a)).reshape(n, n) @ (b / np.linalg.norm(b)).reshape(n, n), check):
+        raise NotAnAlgebraError("space is not closed under products")
 
 
 def wedderburn_structure(space: OperatorSpace, tol: float = DEFAULT_TOL, seed: int = 0) -> AlgebraStructure:
     """Resolve a †-closed unital operator algebra into ampliated full matrix
     blocks with a deterministic (seeded) basis change.
 
-    Blocks come out sorted by (n, m) descending.  Ambiguous random splits are
-    retried with successive seeds before giving up.  Raises SizeLimitError up
-    front when the centre's d N^2 x d stack exceeds the superoperator limit.
+    The basis is resolved as a generator list (`_resolve`).  Certificate:
+    every basis element fits the block pattern within max(tol, 1e-9) and
+    sum n^2 equals the dimension, so the span is the whole pattern algebra.
+    Blocks come out sorted by (n, m) descending.  When no draw certifies, the
+    identity, the adjoints and one random product pick NotAnAlgebraError
+    over StructureResolutionError.  No array beyond a few copies of the
+    basis is formed.
     """
-    n, d = space.ambient_dim, space.dim
-    require_superoperator_size(16 * d * d * n * n, f"centre stack of a {d}-dimensional algebra at dimension {n}")
-    _verify_algebra(space, tol)
-    last = None
-    for attempt in range(5):
-        try:
-            return _resolve_structure(space, tol, seed + attempt)
-        except _ResolutionMiss as miss:
-            last = miss
-    raise StructureResolutionError("could not resolve block structure after 5 seeded retries") from last
+    try:
+        structure = _resolve(space.basis, tol, seed)
+    except StructureResolutionError:
+        _require_algebra(space, tol)
+        raise
+    generated = sum(n_block * n_block for _, n_block in structure.blocks)
+    if generated != space.dim:
+        _require_algebra(space, tol)
+        raise StructureResolutionError(f"the basis generates a {generated}-dimensional algebra, not {space.dim}")
+    return structure
+
+
+def _pattern_residual(mats, structure: AlgebraStructure) -> float:
+    """Fraction of the Frobenius mass of W† X W, over the X in `mats`,
+    outside the block-ampliation pattern."""
+    w = structure.basis_change
+    total_sq = off_sq = 0.0
+    for part in _chunks(len(mats), w.shape[0]):
+        x = dagger(w) @ np.stack(mats[part]) @ w
+        total_sq += float(np.vdot(x, x).real)
+        for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
+            diag = [slice(off + a * n_block, off + (a + 1) * n_block) for a in range(m_block)]
+            avg = sum(x[:, s, s] for s in diag) / m_block
+            for s in diag:
+                x[:, s, s] -= avg
+        off_sq += float(np.vdot(x, x).real)
+    return float(np.sqrt(off_sq / total_sq)) if total_sq > 0 else 0.0
 
 
 def structure_residual(space: OperatorSpace, structure: AlgebraStructure) -> float:
     """Fraction of Frobenius mass of the conjugated basis falling outside the
     block-ampliation pattern."""
-    w = structure.basis_change
-    total_sq = 0.0
-    off_sq = 0.0
-    for b in space.basis:
-        x = dagger(w) @ b @ w
-        recon = np.zeros_like(x)
-        for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
-            size = m_block * n_block
-            sub = x[off : off + size, off : off + size]
-            avg = np.zeros((n_block, n_block), dtype=complex)
-            for alpha in range(m_block):
-                avg += sub[alpha * n_block : (alpha + 1) * n_block, alpha * n_block : (alpha + 1) * n_block]
-            avg /= m_block
-            recon[off : off + size, off : off + size] = kron(np.eye(m_block), avg)
-        off_sq += frob(x - recon) ** 2
-        total_sq += frob(x) ** 2
-    return float(np.sqrt(off_sq / total_sq)) if total_sq > 0 else 0.0
+    return _pattern_residual(space.basis, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +452,13 @@ class NoiselessBlock:
 def noiseless_subsystems(ch: KrausChannel, tol: float = DEFAULT_TOL, seed: int = 0) -> list[NoiselessBlock]:
     """Blocks of the noise commutant with size at least 2, each with an
     encoder mapping an n x n density onto the ambient space (normalized
-    ampliation on the multiplicity factor)."""
+    ampliation on the multiplicity factor).  The commutant's structure is
+    read off the resolved interaction algebra; no basis is formed."""
     if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("noiseless subsystems are stated for channels")
     if not ch.is_unital(tol):
         raise NotUnitalError("noise-commutant protection requires a unital channel")
-    space = commutant(ch.operators, tol)
-    structure = wedderburn_structure(space, tol, seed)
+    structure = _commutant_structure(_resolve(ch.operators, tol, seed))
     n = ch.dim
     out = []
     for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):

@@ -2,6 +2,20 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, not configurable.
+
+Each criterion belongs to one of the four topics of the paper's abstract:
+
+- Quantum algorithms: 1 (Deutsch), 2 (Deutsch-Jozsa).
+- Quantum channels, i.e. completely positive trace-preserving maps: 3 (bit
+  flip), 4 (constant-half channel), 5 (Choi <-> Kraus), 6 (unitary freedom
+  of Kraus operators), 11 (fixed points equal the commutant iff unital),
+  13 (dead subspace of a singular image of the identity).
+- Error detection and correction theorems: 7 (detection), 8 (repetition
+  code, Knill-Laflamme and recovery), 9 (Shor code, every qubit).
+- Passive error correction: 10 (noise commutants and their blocks),
+  12 (the collective-rotation noiseless qubit).
+
+Criterion 14 runs property checks across all four topics.
 """
 
 import itertools

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from qchannel.algebra import (
     OperatorSpace,
-    _hermitian_basis,
     adjoints_in_algebra,
     channel_superoperator,
     commutant,
@@ -34,7 +34,7 @@ from qchannel.channels import (
     zz_dephasing,
 )
 from qchannel.errors import NotAnAlgebraError, NotTracePreservingError, NotUnitalError, SizeLimitError
-from qchannel.linalg import dagger, frob, haar_random_unitary, kron, require_superoperator_size
+from qchannel.linalg import dagger, frob, haar_random_unitary, kron, kron_chain, require_superoperator_size
 from qchannel.qcore import basis_state, gate, pure_density, random_density
 
 E00 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -69,6 +69,12 @@ class TestInteractionAlgebra:
     def test_identity_channel(self):
         assert interaction_algebra(KrausChannel([np.eye(3)])).dim == 1
 
+    def test_rank_one_generators(self):
+        # the |0><i| generate M_5, yet every sum c_i |0><i| + h.c. has rank 2
+        ch = dead_row(5)
+        assert interaction_algebra(ch).dim == 25
+        assert commutant(ch.operators).dim == 1
+
     def test_closure_properties(self):
         for name, ch in unital_instances():
             space = interaction_algebra(ch)
@@ -98,6 +104,14 @@ class TestCommutant:
 
     def test_identity_generator_gives_everything(self):
         assert commutant([np.eye(3)]).dim == 9
+
+    def test_anticommuting_generators(self):
+        # five anticommuting Paulis generate M_4 (+) M_4, whose two blocks
+        # no Hermitian sum of words of degree <= 2 tells apart
+        paulis = {"I": np.eye(2), "X": gate("X"), "Y": gate("Y"), "Z": gate("Z")}
+        gens = [kron_chain([paulis[c] for c in s]) for s in ("XII", "YII", "ZXI", "ZYI", "ZZZ")]
+        assert commutant(gens).dim == 2
+        assert interaction_algebra(KrausChannel(gens)).dim == 32
 
     def test_output_commutes(self):
         for name, ch in unital_instances():
@@ -146,13 +160,12 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_centre_of_full_algebra_refused_before_allocating(self):
-        # M_17: the centre stack is 17^2 * 289 x 289, 16 * 289^3 bytes > 256 MiB.
-        space = OperatorSpace(list(np.eye(17 * 17, dtype=complex).reshape(-1, 17, 17)))
+    def test_commutant_basis_refused_before_allocating(self):
+        # C I_65 has the commutant M_65: 16 * 65^4 bytes of basis > 256 MiB.
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError):
-                wedderburn_structure(space)
+                commutant([np.eye(65)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -215,6 +228,13 @@ class TestWedderburn:
         structure = wedderburn_structure(space)
         assert structure.blocks == [(1, 3)]
 
+    def test_full_matrix_algebra_m17(self):
+        # the full M_17 (d = 289) resolves as one block
+        space = OperatorSpace(list(np.eye(17 * 17, dtype=complex).reshape(-1, 17, 17)))
+        structure = wedderburn_structure(space)
+        assert structure.blocks == [(1, 17)]
+        assert structure_residual(space, structure) <= 1e-9
+
     def test_scalar_commutant(self):
         # the commutant of an irreducible family is the scalars
         space = commutant([gate("X"), gate("Z")])
@@ -258,20 +278,6 @@ class TestWedderburn:
         s2 = wedderburn_structure(perm)
         assert sorted(s1.blocks) == sorted(s2.blocks)
 
-    def test_hermitian_basis_of_mixed_centre(self):
-        # three orthogonal block projectors, HS-normalised, mixed by a Haar
-        # 3x3 unitary plus 1e-13 noise: the Hermitian span stays 3-dimensional
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            v = haar_random_unitary(16, rng)
-            projectors = [v[:, a:b] @ dagger(v[:, a:b]) / np.sqrt(b - a) for a, b in ((0, 4), (4, 9), (9, 16))]
-            mixed = np.tensordot(haar_random_unitary(3, rng), np.stack(projectors), axes=1)
-            mixed = mixed + 1e-13 * (rng.standard_normal(mixed.shape) + 1j * rng.standard_normal(mixed.shape))
-            hbasis = _hermitian_basis(list(mixed), 1e-9)
-            assert len(hbasis) == 3, seed
-            for h in hbasis:
-                assert frob(h - dagger(h)) <= 1e-12
-
     def test_resolves_remixed_collective_rotation_commutants(self):
         patterns = {3: [(2, 2), (4, 1)], 4: [(1, 2), (3, 3), (5, 1)]}
         for n, pattern in patterns.items():
@@ -291,6 +297,9 @@ class TestWedderburn:
         x01[0, 1] = 1.0
         with pytest.raises(NotAnAlgebraError):
             wedderburn_structure(OperatorSpace([np.eye(2) / np.sqrt(2), x01]))  # not dagger-closed
+        with pytest.raises(NotAnAlgebraError):
+            # holds the identity and every adjoint, but XZ = -iY is missing
+            wedderburn_structure(OperatorSpace([m / np.sqrt(2) for m in (np.eye(2), gate("X"), gate("Z"))]))
 
 
 class TestNoiselessSubsystems:
@@ -338,6 +347,19 @@ class TestNoiselessSubsystems:
     def test_requires_unital(self):
         with pytest.raises(NotUnitalError):
             noiseless_subsystems(amplitude_damping(0.5))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_collective_rotation_multiplicities(self, n):
+        # spin j appears in (C^2)^n with multiplicity C(n, k) - C(n, k - 1),
+        # k = n/2 - j; it protects a block of that size, ampliated 2j + 1 times
+        expected = []
+        for k in range(n // 2 + 1):
+            mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            if mult >= 2:
+                expected.append((n - 2 * k + 1, mult))
+        expected.sort(key=lambda b: (-b[1], -b[0]))
+        blocks = noiseless_subsystems(collective_rotation(n))
+        assert [(b.multiplicity, b.block_dim) for b in blocks] == expected
 
 
 class TestBicommutant:

@@ -148,12 +148,33 @@ def test_oversized_superoperator_exits_3(tmp_path, capsys, verb):
     assert json.loads(err.splitlines()[0])["error"] == "SizeLimitError"
 
 
-def test_oversized_centre_exits_3(tmp_path, capsys):
+def test_full_algebra_structure_from_identity_generator(tmp_path, capsys):
     generators = write(tmp_path / "id17.json", [matrix_to_json(np.eye(17))])
-    code, out, err = run(capsys, ["structure", "--generators", generators])
+    code, out, _ = run(capsys, ["structure", "--generators", generators])
+    assert code == 0
+    assert json.loads(out)["blocks"] == [{"m": 1, "n": 17}]
+
+
+def test_oversized_commutant_basis_exits_3(tmp_path, capsys):
+    generators = write(tmp_path / "id65.json", [matrix_to_json(np.eye(65))])
+    code, out, err = run(capsys, ["commutant", "--generators", generators])
     assert code == 3
     assert out == ""
     assert json.loads(err.splitlines()[0])["error"] == "SizeLimitError"
+
+
+@pytest.mark.parametrize(
+    "verb, channel, blocks",
+    [
+        ("noiseless", "collective_rotation?n=6", [(3, 9), (5, 5), (1, 5)]),
+        ("structure", "permutation?d=3&n=3", [(1, 10), (2, 8), (1, 1)]),
+        ("noiseless", "permutation?d=3&n=3", [(1, 10), (2, 8)]),
+    ],
+)
+def test_passive_qec_beyond_toy_sizes(capsys, verb, channel, blocks):
+    code, out, _ = run(capsys, [verb, "--channel", f"builtin:{channel}"])
+    assert code == 0
+    assert [(b["m"], b["n"]) for b in json.loads(out)["blocks"]] == blocks
 
 
 def test_dead_subspace_report(capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qchannel.algebra import (
     OperatorSpace,
+    _closure,
     commutant,
     fix_equals_commutant,
     interaction_algebra,
@@ -378,6 +379,7 @@ def test_commutant_of_block_families(family):
     assert space.dim == sum(m * m for m, _ in blocks)
     assert sorted(wedderburn_structure(space).blocks) == sorted((n, m) for m, n in blocks)
     assert interaction_algebra(KrausChannel(gens)).dim == sum(n * n for _, n in blocks)
+    assert spaces_equal(interaction_algebra(KrausChannel(gens)), _closure(gens, len(gens[0]), True, True))
 
 
 @settings(deadline=None, max_examples=30)
