@@ -406,5 +406,5 @@ def builtin_channel(name: str, **params) -> KrausChannel:
         ) from None
     try:
         return ctor(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # a missing, extra or non-numeric parameter
         raise InvalidParameterError(f"bad parameters for {name}: {exc}") from None

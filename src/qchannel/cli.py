@@ -14,19 +14,23 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 
 from . import algebra, algorithms, channels, qec, serialize
 from .channels import BUILTIN_CHANNELS
-from .errors import InputError, PreconditionError, SchemaError
+from .errors import InputError, InvalidParameterError, PreconditionError, SchemaError
 
 BUILTIN_CODES = ("repetition3", "shor9")
 
 
 def _parse_query_value(raw: str):
     if "," in raw:
-        return [float(x) for x in raw.split(",")]
+        try:
+            return [float(x) for x in raw.split(",")]
+        except ValueError:
+            raise SchemaError(f"builtin parameter list {raw!r} must hold numbers") from None
     try:
         return int(raw)
     except ValueError:
@@ -398,7 +402,8 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Paused GC: decoded inputs and reports are millions of acyclic [re, im] lists it would rescan.
+    # Paused GC: decoded inputs are millions of acyclic [re, im] lists it would rescan
+    # (reports hold their pair data as numpy arrays).
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -408,8 +413,14 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(f"--tol must be finite and non-negative, got {tol!r}")
+
+
 def _run(args) -> int:
     try:
+        _check_tol(args.tol)
         report = _HANDLERS[args.verb](args)
     except (InputError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)

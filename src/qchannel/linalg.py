@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, ShapeMismatchError, SizeLimitError
+from .errors import InvalidParameterError, NotHermitianError, ShapeMismatchError, SizeLimitError
 
 # Target dimensions stay small (<= ~1024), so double precision leaves ample
 # headroom around this default.
@@ -49,7 +49,7 @@ def as_operator(a) -> np.ndarray:
 def require_finite(a, what: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise InvalidParameterError(f"{what} contains non-finite entries")
     return arr
 
 

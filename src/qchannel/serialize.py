@@ -14,9 +14,15 @@ array, and anything else is walked entry by entry to name the first bad
 pair.  NaN, infinities and integers too large for a double are rejected as
 not finite (a SchemaError, exit code 2 in the CLI).
 
-Reports are dumped compactly with insertion order preserved, and floats use
-Python's shortest round-trip representation, so identical inputs always
-produce byte-identical output.
+The `*_to_json` encoders keep pair data as numpy arrays: "data" and
+"amplitudes" hold the flat complex array (a view of the encoded array where
+numpy can give one), and the decoders accept such array leaves as well as
+pair lists.  Write these documents with `dumps`, which emits each array leaf
+as its [[re, im], ...] list.  Reports are dumped compactly with insertion
+order preserved, and floats use Python's shortest round-trip
+representation, so identical inputs always produce byte-identical output:
+exactly the text `json.dumps` gives for the same document with every array
+leaf replaced by its pair list.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ def _is_finite(x) -> bool:
 
 
 def _as_pair_list(values, what: str) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return _as_pair_array(values, what)
     _require(isinstance(values, list), f"{what} must be a list")
     try:
         arr = np.asarray(values)
@@ -68,9 +76,18 @@ def _as_pair_list(values, what: str) -> np.ndarray:
     return out
 
 
-def _pairs(a: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(a, dtype=complex).reshape(-1)
-    return np.column_stack((flat.real, flat.imag)).tolist()
+def _as_pair_array(values: np.ndarray, what: str) -> np.ndarray:
+    """An array leaf, as `_pairs` writes it: a 1-D complex array of finite
+    entries, returned as a copy like any decoded pair list."""
+    _require(values.ndim == 1 and values.dtype == complex, f"{what} must be a list")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SchemaError(f"{what}[{bad[0]}] is not finite")
+    return values.copy()
+
+
+def _pairs(a) -> np.ndarray:
+    return np.asarray(a, dtype=complex).reshape(-1)
 
 
 def matrix_to_json(a) -> dict:
@@ -193,6 +210,61 @@ def choi_from_json(obj) -> tuple[np.ndarray, int]:
     return matrix, block_dim
 
 
+def _dump_value(value) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+# The text of one [+0.0, +0.0] pair, without its brackets.
+_ZERO_PAIR = "0.0,0.0"
+
+
+def _dump_pairs(leaf: np.ndarray) -> str:
+    """The [[re, im], ...] text of a complex array leaf.  Pairs whose two bit
+    patterns are +0.0 come from one constant string; the rest go through one
+    `json.dumps` of their list, split back into pairs at "],["."""
+    flat = np.ascontiguousarray(leaf, dtype=complex).reshape(-1)
+    bits = flat.view(np.uint64).reshape(-1, 2)
+    nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    text = _dump_value(flat.view(float).reshape(-1, 2)[nonzero].tolist())
+    if nonzero.size == flat.size:
+        return text
+    words = [_ZERO_PAIR] * flat.size
+    for i, word in zip(nonzero.tolist(), text[2:-2].split("],[")):
+        words[i] = word
+    return "[[" + "],[".join(words) + "]]"
+
+
+def _dump_key(key) -> str:
+    if isinstance(key, str):
+        return _dump_value(key)
+    return _dump_value({key: 0})[1:-3]  # json's own rules for non-string keys
+
+
+def _emit(obj, out: list[str]) -> None:
+    if isinstance(obj, np.ndarray):
+        out.append(_dump_pairs(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(("," if i else "") + _dump_key(key) + ":")
+            _emit(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(value, out)
+        out.append("]")
+    else:
+        out.append(_dump_value(obj))
+
+
 def dumps(report) -> str:
-    """Compact, insertion-ordered JSON for reports."""
-    return json.dumps(report, separators=(",", ":"), allow_nan=False)
+    """Compact, insertion-ordered JSON for reports: dicts, lists and tuples
+    are walked, numpy arrays are written as [[re, im], ...] pair lists, and
+    every other value goes to `json.dumps` (NaN and infinities raise
+    ValueError, as there)."""
+    out: list[str] = []
+    _emit(report, out)
+    return "".join(out)

@@ -6,11 +6,11 @@ import pytest
 
 from qchannel.cli import main
 from qchannel.qcore import embed_single, gate
-from qchannel.serialize import matrix_from_json, matrix_to_json
+from qchannel.serialize import dumps, matrix_from_json, matrix_to_json
 
 
 def write(path, obj):
-    path.write_text(json.dumps(obj))
+    path.write_text(dumps(obj))
     return str(path)
 
 
@@ -231,3 +231,27 @@ def test_main_restores_gc_state(tmp_path, capsys, enabled, table, verb, expected
     finally:
         gc.enable() if was_enabled else gc.disable()
     assert code == expected
+
+
+@pytest.mark.parametrize(
+    ("channel", "error"),
+    [
+        ("builtin:bit_flip?p=x", "InvalidParameterError"),
+        ("builtin:collective_rotation?n=3&thetas=a,b", "SchemaError"),
+        ("builtin:collective_rotation?n=3&thetas=nan,1,1", "InvalidParameterError"),
+    ],
+)
+def test_bad_builtin_parameters_exit_2(capsys, channel, error):
+    code, out, err = run(capsys, ["classify", "--channel", channel])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[0])["error"] == error
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_2(capsys, tol):
+    code, out, err = run(capsys, ["structure", "--channel", "builtin:bit_flip?p=0.3", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidParameterError"

@@ -324,6 +324,60 @@ def test_edge_floats_round_trip_bit_exactly(value):
     assert np.array_equal(matrix_from_json(json.loads(text)).view(np.uint64), a.view(np.uint64))
 
 
+LEAF_FLOATS = st.sampled_from([0.0] * 12 + EDGE_FLOATS)
+NONZERO_FLOATS = FINITE_FLOATS.filter(lambda x: x != 0.0)
+
+
+@st.composite
+def array_leaves(draw):
+    """Complex arrays as the encoders leave them: mostly zero with ±0.0,
+    subnormal, huge and 1e16 entries; all zero; all nonzero; or 1x1."""
+    kind = draw(st.sampled_from(["sparse", "zero", "nonzero", "one"]))
+    n = 1 if kind == "one" else draw(st.integers(0, 24))
+    if kind == "zero":
+        return np.zeros(n, dtype=complex)
+    floats = NONZERO_FLOATS if kind == "nonzero" else LEAF_FLOATS
+    parts = draw(st.lists(floats, min_size=2 * n, max_size=2 * n))
+    leaf = np.empty(n, dtype=complex)
+    leaf.real, leaf.imag = parts[0::2], parts[1::2]
+    return leaf.reshape(1, 1) if kind == "one" else leaf
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    FINITE_FLOATS,
+    st.text(),
+    st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f', " é€😀", "\ud800", "],[", "[0.0,0.0]"]),
+)
+REPORTS = st.recursive(
+    SCALARS | array_leaves(),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3) | st.sampled_from(["data", '"\n']), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _listified(obj):
+    if isinstance(obj, np.ndarray):
+        return _reference_pairs(obj)
+    if isinstance(obj, dict):
+        return {key: _listified(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_listified(value) for value in obj]
+    return obj
+
+
+@settings(deadline=None, max_examples=300)
+@given(REPORTS)
+def test_dumps_matches_stdlib_json(report):
+    assert dumps(report) == json.dumps(_listified(report), separators=(",", ":"), allow_nan=False)
+
+
 # ---------------------------------------------------------------------------
 # Algebra layer: the block-coordinate commutant against the full Kronecker
 # stack it replaced, kept here as the reference.

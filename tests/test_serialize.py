@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qchannel.channels import bit_flip, channels_equal, dead_row
+from qchannel.channels import bit_flip, channels_equal, collective_rotation, dead_row
 from qchannel.errors import SchemaError
 from qchannel.linalg import frob
+from qchannel.qcore import embed_single, gate
 from qchannel.qec import builtin_code
 from qchannel.serialize import (
     channel_from_json,
@@ -110,3 +112,63 @@ def test_oversized_integer_is_a_schema_error(text, decode, message):
     with pytest.raises(SchemaError) as info:
         decode(json.loads(text))
     assert str(info.value) == message
+
+
+def test_documents_round_trip_without_text():
+    ch = collective_rotation(3, (0.3, -0.0, 1.1))
+    again = channel_from_json(channel_to_json(ch))
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(again.operators, ch.operators))
+    code = builtin_code("shor9")
+    assert np.array_equal(code_from_json(code_to_json(code)).isometry, code.isometry)
+    doc = matrix_to_json(np.eye(2))
+    decoded = matrix_from_json(doc)
+    decoded[0, 0] = 5
+    assert doc["data"][0] == 1
+
+
+@pytest.mark.parametrize(
+    ("leaf", "message"),
+    [
+        (np.zeros((2, 2), dtype=complex), "data must be a list"),
+        (np.zeros(4), "data must be a list"),
+        (np.zeros(3, dtype=complex), "data length 3 != rows*cols 4"),
+        (np.array([0, 1, complex(1, np.nan), np.inf]), "data[2] is not finite"),
+    ],
+)
+def test_bad_array_leaves(leaf, message):
+    with pytest.raises(SchemaError) as info:
+        matrix_from_json({"rows": 2, "cols": 2, "data": leaf})
+    assert str(info.value) == message
+
+
+def test_bad_state_array_leaf():
+    with pytest.raises(SchemaError) as info:
+        state_from_json({"dim": 2, "amplitudes": np.array([1, complex(0, -np.inf)])})
+    assert str(info.value) == "amplitudes[1] is not finite"
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        float("nan"),
+        {"x": [1.0, float("inf")]},
+        {"data": np.array([0, complex(np.nan, 0)])},
+        [{"data": np.array([1j, complex(0, -np.inf)])}],
+        np.array([complex(np.inf, np.inf)] * 3),
+    ],
+    ids=["nan", "nested-inf", "leaf-nan", "leaf-inf", "leaf-all-inf"],
+)
+def test_dumps_refuses_non_finite(report):
+    with pytest.raises(ValueError):
+        dumps(report)
+
+
+def test_dumps_peak_memory_is_a_few_times_the_output():
+    matrices = [embed_single(p, 1, 9) for p in (np.eye(2), gate("X"), gate("Y"), gate("Z"))]
+    tracemalloc.start()
+    try:
+        text = dumps([matrix_to_json(m) for m in matrices])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
