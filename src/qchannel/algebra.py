@@ -32,12 +32,15 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    STRUCTURAL_TOL,
     dagger,
     frob,
+    is_identity,
     kron,
     null_space_basis,
     orthonormal_columns,  # noqa: F401
     require_superoperator_size,
+    spectral_support,
 )
 
 
@@ -61,8 +64,7 @@ class OperatorSpace:
         self.basis = mats
         self.vecs = np.column_stack([_vec(m) for m in mats])
         self.ambient_dim = int(n)
-        gram = dagger(self.vecs) @ self.vecs
-        if frob(gram - np.eye(len(mats))) > 1e-8 * len(mats):
+        if not is_identity(dagger(self.vecs) @ self.vecs, STRUCTURAL_TOL):
             raise DimensionMismatchError("basis is not HS-orthonormal")
 
     @property
@@ -100,12 +102,12 @@ def spaces_equal(a: OperatorSpace, b: OperatorSpace, tol: float = DEFAULT_TOL) -
 def _new_directions(candidates: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the candidates' components outside
     range(cols): two projections (CGS2), then a thin SVD that keeps singular
-    values above 1e-10 * max(1, largest candidate norm)."""
+    values above STRUCTURAL_TOL * max(1, largest candidate norm)."""
     scale = max(1.0, float(np.max(np.linalg.norm(candidates, axis=0), initial=0.0)))
     for _ in range(2):
         candidates = candidates - cols @ (dagger(cols) @ candidates)
     u, s, _ = np.linalg.svd(candidates, full_matrices=False)
-    return u[:, s > 1e-10 * scale]
+    return u[:, s > STRUCTURAL_TOL * scale]
 
 
 def _closure(seed_ops: Sequence[np.ndarray], n: int, include_adjoints: bool, include_identity: bool) -> OperatorSpace:
@@ -297,7 +299,7 @@ def _resolve(generators: Sequence[np.ndarray], tol: float, seed: int) -> Algebra
     """Block structure of the unital †-algebra generated by `generators`.
 
     Certificate: every generator, scaled to unit norm, fits the pattern
-    (+) I_m (x) M_n within max(tol, 1e-9) (`structure_residual`).  The
+    (+) I_m (x) M_n within max(tol, DEFAULT_TOL) (`structure_residual`).  The
     generated algebra then lies inside the pattern, and it is all of it: the
     spectral projectors of H and the nonzero blocks of K between clusters
     are elements of the algebra that generate every I (x) E_ij.  A draw that
@@ -307,7 +309,7 @@ def _resolve(generators: Sequence[np.ndarray], tol: float, seed: int) -> Algebra
     gens = np.stack([np.asarray(g, dtype=complex) for g in generators])
     norms = np.linalg.norm(gens, axis=(1, 2))
     gens /= np.where(norms > 0, norms, 1.0)[:, None, None]
-    cut = max(tol, 1e-9)
+    cut = max(tol, DEFAULT_TOL)
     for attempt in range(5):
         structure = _draw_structure(gens, cut, attempt + 2, np.random.default_rng(seed + attempt))
         if structure is not None and _pattern_residual(gens, structure) <= cut:
@@ -342,13 +344,13 @@ def _pattern_span(structure: AlgebraStructure, what: str) -> OperatorSpace:
     return OperatorSpace(basis)
 
 
-def interaction_algebra(ch: KrausChannel) -> OperatorSpace:
+def interaction_algebra(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """†-closed unital algebra generated by the channel's Kraus operators,
     emitted as W (+) (I_m (x) M_n) W† from its certified block structure
-    (`_resolve`).  Raises SizeLimitError when the d N^2 basis would exceed
-    linalg.MAX_SUPEROPERATOR_BYTES, and StructureResolutionError when no
-    draw certifies."""
-    return _pattern_span(_resolve(ch.operators, DEFAULT_TOL, 0), "interaction algebra")
+    (`_resolve`; tol reaches its certificate).  Raises SizeLimitError when
+    the d N^2 basis would exceed linalg.MAX_SUPEROPERATOR_BYTES, and
+    StructureResolutionError when no draw certifies."""
+    return _pattern_span(_resolve(ch.operators, tol, 0), "interaction algebra")
 
 
 def commutant(generators: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> OperatorSpace:
@@ -374,7 +376,7 @@ def _require_algebra(space: OperatorSpace, tol: float) -> None:
     """Raise NotAnAlgebraError unless the identity, every adjoint and the
     product of two random unit-norm elements lie in the space."""
     n = space.ambient_dim
-    check = max(tol, 1e-9)
+    check = max(tol, DEFAULT_TOL)
     if not space.contains(np.eye(n), check * n):
         raise NotAnAlgebraError("space does not contain the identity")
     if not all(space.contains(dagger(b), check) for b in space.basis):
@@ -390,12 +392,12 @@ def wedderburn_structure(space: OperatorSpace, tol: float = DEFAULT_TOL, seed: i
     blocks with a deterministic (seeded) basis change.
 
     The basis is resolved as a generator list (`_resolve`).  Certificate:
-    every basis element fits the block pattern within max(tol, 1e-9) and
-    sum n^2 equals the dimension, so the span is the whole pattern algebra.
-    Blocks come out sorted by (n, m) descending.  When no draw certifies, the
-    identity, the adjoints and one random product pick NotAnAlgebraError
-    over StructureResolutionError.  No array beyond a few copies of the
-    basis is formed.
+    every basis element fits the block pattern within max(tol, DEFAULT_TOL)
+    and sum n^2 equals the dimension, so the span is the whole pattern
+    algebra.  Blocks come out sorted by (n, m) descending.  When no draw
+    certifies, the identity, the adjoints and one random product pick
+    NotAnAlgebraError over StructureResolutionError.  No array beyond a few
+    copies of the basis is formed.
     """
     try:
         structure = _resolve(space.basis, tol, seed)
@@ -492,15 +494,12 @@ class DeadSubspaceResult:
 def dead_subspace(ch: KrausChannel, tol: float = DEFAULT_TOL) -> DeadSubspaceResult | None:
     """None when the image of the identity is invertible; otherwise the
     complement data for the annihilated subspace."""
-    n = ch.dim
     a = sum(e @ dagger(e) for e in ch.operators)
-    a = (a + dagger(a)) / 2.0
-    vals, vecs = np.linalg.eigh(a)
-    vmax = float(vals[-1]) if vals.size else 0.0
-    if vmax > 0 and float(vals[0]) > tol * vmax:
+    vals, vecs = np.linalg.eigh((a + dagger(a)) / 2.0)
+    pos = spectral_support(vals, tol)
+    if pos.all():
         return None
-    pos = vals > tol * vmax if vmax > 0 else np.zeros(n, dtype=bool)
     vpos = vecs[:, pos]
     p = vpos @ dagger(vpos)
     hypothesis = all(frob(e - p @ e @ p) <= tol * (1.0 + frob(e)) for e in ch.operators)
-    return DeadSubspaceResult(p, np.eye(n) - p, hypothesis)
+    return DeadSubspaceResult(p, np.eye(ch.dim) - p, hypothesis)

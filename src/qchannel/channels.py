@@ -19,20 +19,20 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    NotPSDError,
     UnknownChannelError,
 )
-from .linalg import DEFAULT_TOL, complete_isometry, dagger, frob, kron, require_finite, require_superoperator_size
+from .linalg import DEFAULT_TOL, complete_isometry, dagger, frob, hermitian_psd, is_hermitian, is_identity, is_unitary
+from .linalg import kron, psd_floor, require_finite, require_superoperator_size, spectral_support
 from .qcore import basis_state, embed_single, gate
 
 
 class KrausChannel:
     """Ordered list of equal-shape noise operators defining rho -> sum E rho E†.
 
-    Instances are treated as immutable values.  The trace-preservation
-    residual `tp_residual` = ||sum E†E - I||_F is formed on each call, like
-    `is_unital`; `is_trace_preserving(tol)` compares it against tol * dim,
-    and `trace_preserving` is that decision at the default tolerance.
+    Instances are treated as immutable values.  `is_trace_preserving(tol)`
+    and `is_unital(tol)` apply the identity rule to sum E†E and sum E E†,
+    formed on each call; `tp_residual` is ||sum E†E - I||_F and
+    `trace_preserving` the first decision at the default tolerance.
     """
 
     __slots__ = ("operators", "dim")
@@ -56,11 +56,10 @@ class KrausChannel:
         return self.is_trace_preserving(DEFAULT_TOL)
 
     def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.tp_residual <= tol * self.dim
+        return is_identity(sum(dagger(e) @ e for e in self.operators), tol)
 
     def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether ||sum E E† - I||_F <= tol * dim, formed on each call."""
-        return _unital(sum(e @ dagger(e) for e in self.operators), tol)
+        return is_identity(sum(e @ dagger(e) for e in self.operators), tol)
 
     def __call__(self, rho) -> np.ndarray:
         return apply_channel(self, rho)
@@ -78,11 +77,6 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     for e in ch.operators:
         out += e @ rho @ dagger(e)
     return out
-
-
-def _unital(image_of_identity: np.ndarray, tol: float) -> bool:
-    n = image_of_identity.shape[0]
-    return frob(image_of_identity - np.eye(n)) <= tol * n
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
@@ -119,49 +113,35 @@ def classify(ch_or_choi, tol: float = DEFAULT_TOL) -> Classification:
     """Decide complete positivity (Choi positivity), trace preservation, and
     unitality for a Kraus channel or a raw Choi matrix."""
     if isinstance(ch_or_choi, KrausChannel):
-        ch = ch_or_choi
-        choi = choi_matrix(ch)
-        tp = ch.is_trace_preserving(tol)
-        unital = ch.is_unital(tol)
+        choi = choi_matrix(ch_or_choi)
+        tp, unital = ch_or_choi.is_trace_preserving(tol), ch_or_choi.is_unital(tol)
     else:
         choi = np.asarray(ch_or_choi, dtype=complex)
         n = _choi_block_dim(choi)
-        # Tr of block (i, j) is entry (j, i) of sum E† E; the diagonal blocks
-        # sum to the image of the identity.
-        tp_gram = np.array(
-            [[np.trace(choi_block(choi, i, j)) for i in range(n)] for j in range(n)]
-        )
-        tp = frob(tp_gram - np.eye(n)) <= tol * n
-        unital = _unital(sum(choi_block(choi, i, i) for i in range(n)), tol)
-    herm = (choi + dagger(choi)) / 2.0
-    vals = np.linalg.eigvalsh(herm)
-    cp = frob(choi - herm) <= tol * (1.0 + frob(choi)) and (
-        vals.size == 0 or float(vals[0]) >= -tol * max(1.0, float(vals[-1]))
-    )
+        # blocks[i, a, j, b] is entry (a, b) of block (i, j).  Tr of block
+        # (i, j) is entry (j, i) of sum E† E; the diagonal blocks sum to the
+        # image of the identity.
+        blocks = choi.reshape(n, n, n, n)
+        tp = is_identity(np.einsum("iaja->ji", blocks), tol)
+        unital = is_identity(np.einsum("iaib->ab", blocks), tol)
+    cp = is_hermitian(choi, tol) and psd_floor(np.linalg.eigvalsh((choi + dagger(choi)) / 2.0), tol)
     return Classification(bool(cp), bool(tp), bool(unital))
 
 
 def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> KrausChannel:
     """Extract Kraus operators from a PSD Choi matrix.
 
-    Each eigenvector with eigenvalue above tol * lambda_max is scaled by the
-    square root of its eigenvalue and unstacked column-block-wise into one
-    operator, so the result reproduces the input Choi matrix and carries at
-    most N^2 operators.
+    Raises NotPSDError unless the matrix passes `hermitian_psd`.  Each
+    eigenvector in the spectral support is scaled by the square root of its
+    eigenvalue and unstacked column-block-wise into one operator, so the
+    result reproduces the input Choi matrix and carries at most N^2
+    operators.
     """
     choi = np.asarray(choi, dtype=complex)
     n = _choi_block_dim(choi)
-    if frob(choi - dagger(choi)) > tol * (1.0 + frob(choi)):
-        raise NotPSDError("Choi matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2.0)
-    vmax = float(vals[-1]) if vals.size else 0.0
-    if vals.size and vals[0] < -tol * max(1.0, vmax):
-        raise NotPSDError("Choi matrix has a negative eigenvalue beyond tolerance")
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > tol * vmax:
-            a = np.sqrt(lam) * v
-            ops.append(a.reshape(n, n, order="F"))
+    vals, vecs = hermitian_psd(choi, tol, "Choi matrix")
+    support = spectral_support(vals, tol)
+    ops = [(np.sqrt(lam) * v).reshape(n, n, order="F") for lam, v in zip(vals[support], vecs.T[support])]
     if not ops:
         ops = [np.zeros((n, n), dtype=complex)]
     return KrausChannel(ops)
@@ -201,11 +181,10 @@ def kraus_intertwiner(a: KrausChannel, b: KrausChannel, tol: float = DEFAULT_TOL
     kb = np.stack([e.reshape(-1) for e in eb])
 
     w, s, vh = np.linalg.svd(kb, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(spectral_support(s, tol)))
     ws = w[:, :rank]
     c = ka @ vh[:rank].conj().T / s[:rank]  # solves U @ ws = c
-    if frob(dagger(c) @ c - np.eye(rank)) > tol * r:
+    if not is_identity(dagger(c) @ c, tol):
         return None
     u = c @ dagger(ws)
     if rank < r:
@@ -213,7 +192,7 @@ def kraus_intertwiner(a: KrausChannel, b: KrausChannel, tol: float = DEFAULT_TOL
 
     scale = max(1.0, max(frob(e) for e in ea))
     residual = max(frob(ea[i] - sum(u[i, j] * eb[j] for j in range(r))) for i in range(r))
-    if residual > tol * scale or frob(dagger(u) @ u - np.eye(r)) > tol * r:
+    if residual > tol * scale or not is_identity(dagger(u) @ u, tol):
         return None
     return u
 
@@ -236,7 +215,7 @@ def _check_weights(weights, count: int | None = None) -> np.ndarray:
         raise InvalidParameterError("weights must be a non-empty 1-D list")
     if count is not None and w.size != count:
         raise InvalidParameterError(f"expected {count} weights, got {w.size}")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+    if np.any(w <= 0) or abs(w.sum() - 1.0) > DEFAULT_TOL:
         raise InvalidParameterError("weights must be positive and sum to 1")
     return w
 
@@ -278,7 +257,7 @@ def random_unitary_channel(weights, unitaries) -> KrausChannel:
     for u in us:
         if u.shape != (n, n):
             raise DimensionMismatchError("unitaries must share one square shape")
-        if frob(dagger(u) @ u - np.eye(n)) > DEFAULT_TOL * n:
+        if not is_unitary(u):
             raise InvalidParameterError("random-unitary channel requires unitary inputs")
     return KrausChannel([np.sqrt(wi) * u for wi, u in zip(w, us)])
 
@@ -295,7 +274,7 @@ def entanglement_breaking(psis, phis) -> KrausChannel:
     if len(psis) != len(phis) or not psis:
         raise InvalidParameterError("need matching non-empty lists of kets")
     for v in psis:
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
             raise InvalidParameterError("output kets must be unit vectors")
     return KrausChannel([np.outer(p, q.conj()) for p, q in zip(psis, phis)])
 

@@ -20,7 +20,8 @@ import sys
 
 from . import algebra, algorithms, channels, qec, serialize
 from .channels import BUILTIN_CHANNELS
-from .errors import InputError, InvalidParameterError, PreconditionError, SchemaError
+from .errors import ConditionViolatedError, InputError, InvalidParameterError, PreconditionError, SchemaError
+from .linalg import DEFAULT_TOL
 
 BUILTIN_CODES = ("repetition3", "shor9")
 
@@ -167,8 +168,6 @@ def _build_recovery(args):
     errs = serialize.matrix_list_from_json(_load_json(args.errors))
     result = qec.correctability(code, errs, args.tol)
     if not result.correctable:
-        from .errors import ConditionViolatedError
-
         raise ConditionViolatedError(
             f"error list is not correctable; offending pair {result.offending_pair}"
         )
@@ -226,7 +225,7 @@ def _run_commutant(args) -> dict:
 
 
 def _run_interaction_algebra(args) -> dict:
-    space = algebra.interaction_algebra(_resolve_channel(args.channel))
+    space = algebra.interaction_algebra(_resolve_channel(args.channel), args.tol)
     return _operator_space_report("interaction-algebra", "interaction_algebra", space)
 
 
@@ -254,7 +253,7 @@ def _run_structure(args) -> dict:
         if args.of == "commutant":
             space = algebra.commutant(ch.operators, args.tol)
         elif args.of == "interaction-algebra":
-            space = algebra.interaction_algebra(ch)
+            space = algebra.interaction_algebra(ch, args.tol)
         else:
             space = algebra.fixed_point_set(ch, args.tol)
     structure = algebra.wedderburn_structure(space, args.tol, args.seed)
@@ -354,7 +353,7 @@ _HANDLERS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance (default 1e-9)")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance (default %(default)g)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized steps (default 0)")
     common.add_argument("--out", help="write the report to this path as well")
     common.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
@@ -413,14 +412,16 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameterError(f"--tol must be finite and non-negative, got {tol!r}")
+def _check_args(args) -> None:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InvalidParameterError(f"--tol must be finite and non-negative, got {args.tol!r}")
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be non-negative, got {args.seed!r}")
 
 
 def _run(args) -> int:
     try:
-        _check_tol(args.tol)
+        _check_args(args)
         report = _HANDLERS[args.verb](args)
     except (InputError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)

@@ -1,9 +1,29 @@
-"""Dense complex linear algebra substrate.
+"""Dense complex linear algebra substrate and the package's tolerance policy.
 
 Tensor products, Hermitian eigendecomposition, polar decomposition, numerical
 null spaces, and the Hilbert-Schmidt inner product, all on plain complex
-numpy arrays.  Tolerances are relative and Frobenius-scaled; every decision
-routine accepts an explicit override.
+numpy arrays.
+
+Tolerance policy.  Each decision compares a residual with a threshold; the
+four shared rules are implemented once each, here:
+
+    is_identity       ||X - I_n||_F <= tol * n
+    is_hermitian      ||X - X†||_F <= tol * (1 + ||X||_F)
+    psd_floor         lambda_min >= -tol * max(1, lambda_max) of (X + X†) / 2
+    spectral_support  lambda > tol * max(lambda_max, floor), none if lambda_max <= 0
+
+    decision                              residual (rule)                  threshold (tol = --tol)
+    trace preservation, unitality         sum E†E, sum E E† (identity)     tol
+    unitarity, recovery completeness      U†U, sum C_k C_k† (identity)     tol
+    Choi positivity, KL scalar matrix     C, lambda (hermitian_psd)        tol
+    Kraus, polar, null-space and          spectrum (spectral_support;      tol
+      intertwiner rank, dead subspace       floor 1: weights, fixed points)
+    KL pairs, detection, channel and      own, times a stated scale        tol
+      space equality, recovery success
+    block structure, algebra membership   own                              max(tol, DEFAULT_TOL)
+    random-unitary inputs, weight/ket sum U†U (identity), |sum - 1|        DEFAULT_TOL
+    code and operator-space bases,        V†V (identity), own, psd_floor   STRUCTURAL_TOL
+      normalisations, orthonormalisation
 """
 
 from __future__ import annotations
@@ -13,11 +33,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotHermitianError, ShapeMismatchError, SizeLimitError
+from .errors import InvalidParameterError, NotHermitianError, NotPSDError, ShapeMismatchError, SizeLimitError
 
 # Target dimensions stay small (<= ~1024), so double precision leaves ample
 # headroom around this default.
 DEFAULT_TOL = 1e-9
+
+# Fixed threshold for what the package builds rather than decides: its bases
+# meet ||V†V - I||_F < 5e-16 * d, far inside it, so `--tol` does not reach it.
+STRUCTURAL_TOL = 1e-10
 
 # Largest superoperator-sized array the package builds: a Choi matrix, a
 # channel superoperator or the commutant's constraint stack.  256 MiB holds an
@@ -82,19 +106,34 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
+def is_identity(x, tol: float = DEFAULT_TOL) -> bool:
+    """Identity rule: ||x - I_n||_F <= tol * n for a square array x."""
+    return frob(x - np.eye(len(x))) <= tol * len(x)
+
+
 def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
+    """Hermitian rule: ||h - h†||_F <= tol * (1 + ||h||_F); False unless square."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         return False
     return frob(h - dagger(h)) <= tol * (1.0 + frob(h))
 
 
+def psd_floor(vals, tol: float = DEFAULT_TOL) -> bool:
+    """PSD floor rule on ascending eigenvalues: lambda_min >= -tol * max(1, lambda_max)."""
+    return len(vals) == 0 or float(vals[0]) >= -tol * max(1.0, float(vals[-1]))
+
+
+def spectral_support(vals, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
+    """Spectral-support rule: mask of the array vals above tol * max(lambda_max,
+    floor), all False when lambda_max <= 0."""
+    vmax = float(np.max(vals, initial=0.0))
+    return (vals > tol * max(vmax, floor)) & (vmax > 0)
+
+
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    n = u.shape[0]
-    return frob(dagger(u) @ u - np.eye(n)) <= tol * n
+    return u.ndim == 2 and u.shape[0] == u.shape[1] and is_identity(dagger(u) @ u, tol)
 
 
 class EigenDecomposition(NamedTuple):
@@ -105,16 +144,25 @@ class EigenDecomposition(NamedTuple):
 
 
 def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitianError when ||h - h†||_F exceeds tol * (1 + ||h||_F).
-    """
+    """Eigendecomposition of a matrix passing the Hermitian rule; NotHermitianError otherwise."""
     h = as_operator(h)
     if h.shape[0] != h.shape[1]:
         raise NotHermitianError(f"matrix is {h.shape[0]}x{h.shape[1]}, not square")
     if not is_hermitian(h, tol):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(h)
+    return EigenDecomposition(vals, vecs)
+
+
+def hermitian_psd(x, tol: float = DEFAULT_TOL, what: str = "matrix") -> EigenDecomposition:
+    """Eigendecomposition of (x + x†) / 2 for an x passing the Hermitian rule and
+    the PSD floor; NotPSDError naming `what` otherwise."""
+    x = as_operator(x)
+    if not is_hermitian(x, tol):
+        raise NotPSDError(f"{what} is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh((x + dagger(x)) / 2.0)
+    if not psd_floor(vals, tol):
+        raise NotPSDError(f"{what} has a negative eigenvalue beyond tolerance")
     return EigenDecomposition(vals, vecs)
 
 
@@ -132,11 +180,10 @@ def polar(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatchError("polar decomposition requires a square matrix")
     left, sing, vh = np.linalg.svd(a)
     right = vh.conj().T
-    smax = float(sing[0]) if n else 0.0
     p = (right * sing) @ vh
     p = (p + dagger(p)) / 2.0
 
-    support = sing > tol * smax if smax > 0 else np.zeros(n, dtype=bool)
+    support = spectral_support(sing, tol)
     image_cols = np.array(left)
     image_cols[:, ~support] = complete_isometry(left[:, support])
     u = image_cols @ vh
@@ -154,13 +201,13 @@ def complete_isometry(v) -> np.ndarray:
     return np.linalg.qr(v, mode="complete")[0][:, v.shape[1]:]
 
 
-def null_space_basis(a, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+def null_space_basis(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical null space of a.
 
-    Rank decisions use singular values <= tol * sigma_max.  Callers that know
-    the natural magnitude of the map can pass it as `scale`; it floors the
-    threshold so that a constraint matrix which is zero up to roundoff (e.g.
-    commutators of an abelian family) yields the full space instead of
+    The rank is the spectral support of the singular values.  Callers that
+    know the natural magnitude of the map can pass it as `scale`; it floors
+    the threshold so that a constraint matrix which is zero up to roundoff
+    (e.g. commutators of an abelian family) yields the full space instead of
     treating its noise as rank.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
@@ -170,13 +217,11 @@ def null_space_basis(a, tol: float = DEFAULT_TOL, scale: float | None = None) ->
     # A tall constraint stack needs only the right singular vectors; the
     # thin SVD skips the rows x rows U that the full one would build.
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = tol * (smax if scale is None else max(smax, scale))
-    rank = int(np.sum(s > cutoff)) if smax > 0 else 0
+    rank = int(np.count_nonzero(spectral_support(s, tol, scale)))
     return vh[rank:].conj().T
 
 
-def orthonormal_columns(vectors, drop_tol: float = 1e-10) -> tuple[np.ndarray, list[int]]:
+def orthonormal_columns(vectors, drop_tol: float = STRUCTURAL_TOL) -> tuple[np.ndarray, list[int]]:
     """Modified Gram-Schmidt over the given vectors, preserving input order.
 
     Returns the orthonormal columns and the indices of the inputs that

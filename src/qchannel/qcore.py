@@ -18,7 +18,8 @@ from .errors import (
     QubitIndexError,
     UnknownGateError,
 )
-from .linalg import DEFAULT_TOL, dagger, frob, kron_chain
+from .linalg import DEFAULT_TOL, STRUCTURAL_TOL, dagger, frob, is_hermitian, is_identity, is_unitary, kron_chain
+from .linalg import psd_floor
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -91,22 +92,14 @@ def cnot_embed(control: int, target: int, n: int) -> np.ndarray:
     return u
 
 
-def is_state_vector(psi, tol: float = 1e-10) -> bool:
-    psi = np.asarray(psi, dtype=complex)
-    return psi.ndim == 1 and abs(np.linalg.norm(psi) - 1.0) <= tol
-
-
 def is_density_operator(rho, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian, positive within roundoff, unit trace."""
+    """Hermitian at tol; PSD floor and unit trace at STRUCTURAL_TOL."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if frob(rho - dagger(rho)) > tol * (1.0 + frob(rho)):
-        return False
-    vals = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if vals.size and vals[0] < -1e-10 * max(1.0, float(vals[-1])):
-        return False
-    return abs(np.trace(rho).real - 1.0) <= 1e-10 * max(1.0, frob(rho))
+    return (
+        is_hermitian(rho, tol)
+        and psd_floor(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0), STRUCTURAL_TOL)
+        and abs(np.trace(rho).real - 1.0) <= STRUCTURAL_TOL * max(1.0, frob(rho))
+    )
 
 
 def pure_density(psi) -> np.ndarray:
@@ -125,30 +118,23 @@ def evolve(rho, u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Closed-system step rho -> u rho u†."""
     rho = np.asarray(rho, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    if u.shape[0] != u.shape[1] or frob(dagger(u) @ u - np.eye(u.shape[0])) > tol * u.shape[0]:
+    if not is_unitary(u, tol):
         raise NotUnitaryError("evolution operator is not unitary within tolerance")
     if rho.shape != u.shape:
         raise DimensionMismatchError(f"state {rho.shape} vs operator {u.shape}")
     return u @ rho @ dagger(u)
 
 
-def is_measurement(operators, tol: float = 1e-10) -> bool:
+def is_measurement(operators, tol: float = STRUCTURAL_TOL) -> bool:
     """Completeness check: sum of M† M equals the identity."""
     ops = [np.asarray(m, dtype=complex) for m in operators]
-    if not ops:
-        return False
-    n = ops[0].shape[0]
-    total = sum(dagger(m) @ m for m in ops)
-    return frob(total - np.eye(n)) <= tol * n
+    return bool(ops) and is_identity(sum(dagger(m) @ m for m in ops), tol)
 
 
-def is_projective(operators, tol: float = 1e-10) -> bool:
+def is_projective(operators, tol: float = STRUCTURAL_TOL) -> bool:
     """True when every measurement operator is an orthogonal projection."""
-    return all(
-        frob(np.asarray(m) @ np.asarray(m) - np.asarray(m)) <= tol * (1.0 + frob(m))
-        and frob(np.asarray(m) - dagger(m)) <= tol * (1.0 + frob(m))
-        for m in operators
-    )
+    ops = [np.asarray(m, dtype=complex) for m in operators]
+    return all(is_hermitian(m, tol) and frob(m @ m - m) <= tol * (1.0 + frob(m)) for m in ops)
 
 
 def measure_state(psi, operators, tol: float = DEFAULT_TOL):

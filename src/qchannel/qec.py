@@ -28,12 +28,16 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    STRUCTURAL_TOL,
     complete_isometry,
     dagger,
     frob,
+    hermitian_psd,
+    is_identity,
     kron_chain,
     orthonormal_columns,
     require_finite,
+    spectral_support,
 )
 from .qcore import basis_state
 
@@ -48,7 +52,7 @@ class QuantumCode:
         v = require_finite(np.asarray(isometry, dtype=complex), "code isometry")
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise DimensionMismatchError(f"isometry shape {v.shape} is not tall")
-        if frob(dagger(v) @ v - np.eye(v.shape[1])) > 1e-10 * v.shape[1]:
+        if not is_identity(dagger(v) @ v, STRUCTURAL_TOL):
             raise DependentInputError("isometry columns are not orthonormal")
         self.isometry = v
 
@@ -178,30 +182,17 @@ def _pair_check(code: QuantumCode, errors: Sequence[np.ndarray], tol: float, lam
     return b, lam, bad
 
 
-def _hermitian_psd(lam: np.ndarray, tol: float) -> np.ndarray:
-    """Hermitian part of a scalar matrix; raises NotPSDError unless
-    ||lam - lam†||_F <= tol * (1 + ||lam||_F) and no eigenvalue lies below
-    -tol * max(1, lambda_max)."""
-    if frob(lam - dagger(lam)) > tol * (1.0 + frob(lam)):
-        raise NotPSDError("scalar matrix is not Hermitian within tolerance")
-    herm = (lam + dagger(lam)) / 2.0
-    vals = np.linalg.eigvalsh(herm)
-    if vals.size and vals[0] < -tol * max(1.0, float(vals[-1])):
-        raise NotPSDError("scalar matrix has a negative eigenvalue beyond tolerance")
-    return herm
-
-
 def correctability(code: QuantumCode, errors: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CorrectabilityResult:
     """Knill-Laflamme test V† E_i† E_j V = lambda_ij I, lambda_ij = Tr / K, at
     tol * (1 + ||E_i V||_F ||E_j V||_F) for every pair; on success returns the
-    Hermitian PSD scalar matrix (lambda_ij), otherwise the first failing pair
-    in row-major order (0-based).
+    Hermitian PSD scalar matrix (lambda_ij, `hermitian_psd`), otherwise the
+    first failing pair in row-major order (0-based).
     """
     _, lam, bad = _pair_check(code, errors, tol)
     if bad is not None:
         return CorrectabilityResult(False, None, bad)
     try:
-        _hermitian_psd(lam, tol)
+        hermitian_psd(lam, tol, "scalar matrix")
     except NotPSDError:  # pragma: no cover
         return CorrectabilityResult(False, None, (0, 0))
     return CorrectabilityResult(True, lam, None)
@@ -242,7 +233,7 @@ def build_recovery(
 ) -> RecoveryChannel:
     """Synthesize the recovery channel for a correctable error list.
 
-    lam must be Hermitian PSD within tol (else NotPSDError) and pass every pair
+    lam must pass `hermitian_psd` at tol (else NotPSDError) and every pair
     test at tol * (1 + ||E_i V||_F ||E_j V||_F) (else ConditionViolatedError).
 
     Diagonalizes the scalar matrix and recombines the errors along its
@@ -254,29 +245,27 @@ def build_recovery(
     complements) gives U_k = I + Q (M - I) Q†, so U_k V = C_k and U_k fixes
     the orthogonal complement of the span.  The channel is built from the
     mutually orthogonal syndrome projections C_k C_k† (completed with the
-    leftover projector when needed).  Recombinations whose diagonal weight is
-    below tolerance act as zero on the code and are skipped.
+    leftover projector unless they pass the identity rule).  Recombinations
+    outside the spectral support of lam (floor 1) act as zero on the code
+    and are skipped.
     """
     n = code.ambient_dim
     lam = np.asarray(lam, dtype=complex)
     r = len(errors)
     if lam.shape != (r, r):
         raise DimensionMismatchError(f"scalar matrix shape {lam.shape} does not match {r} errors")
-    herm = _hermitian_psd(lam, tol)
+    hermitian_psd(lam, tol, "scalar matrix")
     images, _, bad = _pair_check(code, errors, tol, lam)
     if bad is not None:
         raise ConditionViolatedError(f"pair {bad} violates the scalar-compression condition")
 
     v, k = code.isometry, code.code_dim
-    dvals, u = _sorted_eigh(herm)
-    dmax = float(dvals[-1]) if dvals.size else 0.0
+    dvals, u = _sorted_eigh((lam + dagger(lam)) / 2.0)
     unitaries = []
     syndromes = []  # isometries U_k V whose ranges are the syndrome subspaces
     weights = []
-    for idx in range(dvals.size):
+    for idx in np.flatnonzero(spectral_support(dvals, tol, 1.0)):
         d = float(dvals[idx])
-        if d <= tol * max(1.0, dmax):
-            continue
         fv = sum(u[i, idx] * images[i] for i in range(r))  # F_k V, never F_k
         c, kept = orthonormal_columns(list((fv / np.sqrt(d)).T))
         if len(kept) != k:
@@ -291,8 +280,9 @@ def build_recovery(
     kraus = [v @ dagger(c) for c in syndromes]
     projectors = [c @ dagger(c) for c in syndromes]
     completion = None
-    leftover = np.eye(n) - sum(projectors, np.zeros((n, n), dtype=complex))
-    if frob(leftover) > tol * n:
+    covered = sum(projectors, np.zeros((n, n), dtype=complex))
+    if not is_identity(covered, tol):
+        leftover = np.eye(n) - covered
         completion = (leftover + dagger(leftover)) / 2.0
         kraus.append(completion)
     return RecoveryChannel(KrausChannel(kraus), projectors, unitaries, np.array(weights), completion)

@@ -75,6 +75,15 @@ class TestInteractionAlgebra:
         assert interaction_algebra(ch).dim == 25
         assert commutant(ch.operators).dim == 1
 
+    def test_tolerance_reaches_certificate(self):
+        # Kraus operators perturbed by 1e-8 noise: the rotation algebra
+        # M_4 (+) I_2 (x) M_2 certifies at tol 1e-6; at 1e-9 only M_8 does.
+        ops = np.stack(collective_rotation(3).operators)
+        rng = np.random.default_rng(1)
+        noisy = KrausChannel(ops + 1e-8 * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)))
+        assert interaction_algebra(noisy, 1e-6).dim == 20
+        assert interaction_algebra(noisy).dim == 64
+
     def test_closure_properties(self):
         for name, ch in unital_instances():
             space = interaction_algebra(ch)

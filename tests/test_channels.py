@@ -142,6 +142,23 @@ class TestClassify:
             cls = classify(ch)
             assert cls.completely_positive and cls.trace_preserving and cls.unital
 
+    @pytest.mark.parametrize(("factor", "hermitian"), [(0.5, True), (1.5, False)])
+    def test_choi_positivity_uses_the_hermitian_rule(self, factor, hermitian):
+        # ||C - C†||_F = factor * tol * (1 + ||C||_F).  classify and
+        # kraus_from_choi share one Hermitian rule, so they agree on both sides.
+        tol = 1e-9
+        choi = choi_matrix(bit_flip(0.3))
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal(choi.shape) + 1j * rng.standard_normal(choi.shape)
+        skew = (g - dagger(g)) / 2.0
+        perturbed = choi + skew * (factor * tol * (1.0 + frob(choi)) / (2.0 * frob(skew)))
+        assert classify(perturbed, tol).completely_positive is hermitian
+        if hermitian:
+            assert len(kraus_from_choi(perturbed, tol).operators) == 2
+        else:
+            with pytest.raises(NotPSDError, match="not Hermitian"):
+                kraus_from_choi(perturbed, tol)
+
 
 class TestKrausFromChoi:
     def test_identity_channel(self):
@@ -218,6 +235,16 @@ class TestEquality:
         u = kraus_intertwiner(ch, ch)
         assert u is not None
         assert frob(u - np.eye(2)) <= 1e-9
+
+    @pytest.mark.parametrize(("eps", "found"), [(0.4e-9, True), (1e-9, False)])
+    def test_intertwiner_unitarity_at_rank_scale(self, eps, found):
+        # Three copies of 0.1 I: rank 1 of r = 3.  Scaling every operator by
+        # 1 + eps leaves the channels equal but gives the rank x rank solution
+        # ||c†c - I||_F = 2 eps + eps^2, tested at tol * rank.
+        b = KrausChannel([0.1 * np.eye(2)] * 3)
+        a = KrausChannel([(1 + eps) * 0.1 * np.eye(2)] * 3)
+        assert channels_equal(a, b, 1e-9)
+        assert (kraus_intertwiner(a, b, 1e-9) is not None) is found
 
     def test_no_intertwiner_for_different_channels(self):
         assert kraus_intertwiner(bit_flip(0.3), phase_flip(0.3)) is None

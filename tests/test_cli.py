@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qchannel.channels import collective_rotation
 from qchannel.cli import main
 from qchannel.qcore import embed_single, gate
 from qchannel.serialize import dumps, matrix_from_json, matrix_to_json
@@ -255,3 +256,39 @@ def test_bad_tolerance_exits_2(capsys, tol):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidParameterError"
+
+
+def noisy_rotation_file(tmp_path):
+    """collective_rotation(3) with 1e-8 complex Gaussian noise on its Kraus
+    operators: the rotation algebra certifies at tol 1e-6, only M_8 at 1e-9."""
+    ops = np.stack(collective_rotation(3).operators)
+    rng = np.random.default_rng(1)
+    ops = ops + 1e-8 * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
+    return write(tmp_path / "noisy.json", {"dim": 8, "kraus": [matrix_to_json(e) for e in ops]})
+
+
+@pytest.mark.parametrize(("tol", "dim"), [(None, 64), ("1e-6", 20)])
+@pytest.mark.parametrize(
+    ("argv", "key"), [(["interaction-algebra"], "dimension"), (["structure", "--of", "interaction-algebra"], "dim")]
+)
+def test_tol_reaches_interaction_algebra(tmp_path, capsys, argv, key, tol, dim):
+    flags = ["--tol", tol] if tol else []
+    code, out, _ = run(capsys, argv + ["--channel", noisy_rotation_file(tmp_path)] + flags)
+    assert code == 0
+    assert json.loads(out)[key] == dim
+
+
+@pytest.mark.parametrize("verb", ["structure", "noiseless", "verify-recovery"])
+def test_negative_seed_exits_2(tmp_path, capsys, verb):
+    # Each verb hands --seed to numpy's default_rng, which refuses negatives.
+    if verb == "verify-recovery":
+        ops = [np.sqrt(0.85) * np.eye(8)] + [np.sqrt(0.05) * embed_single(gate("X"), k, 3) for k in (1, 2, 3)]
+        channel = write(tmp_path / "chan.json", {"dim": 8, "kraus": [matrix_to_json(e) for e in ops]})
+        argv = [verb, "--channel", channel, "--code", "repetition3", "--errors", xflips_file(tmp_path)]
+    else:
+        argv = [verb, "--channel", "builtin:bit_flip?p=0.3"]
+    code, out, err = run(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "InvalidParameterError", "message": "--seed must be non-negative, got -1"}

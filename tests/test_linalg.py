@@ -1,20 +1,28 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qchannel.errors import NotHermitianError, ShapeMismatchError
+from qchannel import linalg
+from qchannel.errors import NotHermitianError, NotPSDError, ShapeMismatchError
 from qchannel.linalg import (
     complete_isometry,
     dagger,
     frob,
     haar_random_unitary,
     hermitian_eigen,
+    hermitian_psd,
     hs_inner,
+    is_hermitian,
+    is_identity,
     kron,
     null_space_basis,
     orthonormal_columns,
     polar,
+    psd_floor,
+    spectral_support,
 )
 from qchannel.qcore import gate
 
@@ -193,3 +201,77 @@ def test_complete_isometry():
     w = complete_isometry(v)
     full = np.hstack([v, w])
     assert frob(dagger(full) @ full - np.eye(6)) <= 1e-10
+
+
+class TestTolerancePolicy:
+    """Each shared rule just inside (factor 0.9) and just outside (1.1) its
+    threshold."""
+
+    TOL = 1e-9
+
+    def test_identity_rule(self):
+        bump = np.zeros((4, 4), dtype=complex)
+        bump[0, 1] = 1.0
+        assert is_identity(np.eye(4) + 0.9 * self.TOL * 4 * bump, self.TOL)
+        assert not is_identity(np.eye(4) + 1.1 * self.TOL * 4 * bump, self.TOL)
+
+    @pytest.mark.parametrize(("factor", "hermitian"), [(0.9, True), (1.1, False)])
+    def test_hermitian_rule(self, factor, hermitian):
+        h = np.diag([3.0, 1.0, 0.5]).astype(complex)
+        skew = np.zeros((3, 3), dtype=complex)
+        skew[0, 2], skew[2, 0] = 1.0, -1.0  # ||skew - skew†||_F = 2 sqrt(2)
+        x = h + skew * factor * self.TOL * (1.0 + frob(h)) / (2.0 * np.sqrt(2.0))
+        assert is_hermitian(x, self.TOL) is hermitian
+
+    @pytest.mark.parametrize("top", [0.5, 5.0])
+    def test_psd_floor(self, top):
+        scale = max(1.0, top)
+        assert psd_floor(np.array([-0.9 * self.TOL * scale, top]), self.TOL)
+        assert not psd_floor(np.array([-1.1 * self.TOL * scale, top]), self.TOL)
+        assert psd_floor(np.array([]), self.TOL)
+
+    def test_spectral_support(self):
+        vals = np.array([0.9 * self.TOL * 4.0, 1.1 * self.TOL * 4.0, 4.0])
+        assert spectral_support(vals, self.TOL).tolist() == [False, True, True]
+        # The floor lifts the threshold above tol * lambda_max.
+        small = np.array([0.9 * self.TOL, 1.1 * self.TOL, 0.5])
+        assert spectral_support(small, self.TOL, 1.0).tolist() == [False, True, True]
+        assert spectral_support(small, self.TOL).tolist() == [True, True, True]
+        assert not spectral_support(np.array([-1.0, 0.0]), self.TOL).any()
+
+    def test_hermitian_psd_raises_on_either_rule(self):
+        vals, _ = hermitian_psd(np.diag([-0.9 * self.TOL, 1.0]), self.TOL)
+        assert vals[0] < 0
+        with pytest.raises(NotPSDError, match="negative eigenvalue"):
+            hermitian_psd(np.diag([-1.1 * self.TOL, 1.0]), self.TOL)
+        with pytest.raises(NotPSDError, match="not Hermitian"):
+            hermitian_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), self.TOL)
+
+
+def _module_constant_nodes(tree: ast.Module) -> set[int]:
+    return {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None
+        for node in ast.walk(stmt.value)
+    }
+
+
+def test_tolerance_literals_live_in_linalg_constants():
+    """Numbers in (0, 1e-6] are tolerances; the only ones in the package are
+    the values of linalg's module-level constants (DEFAULT_TOL,
+    STRUCTURAL_TOL)."""
+    package = Path(linalg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _module_constant_nodes(tree) if path.name == "linalg.py" else set()
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)
+            and 0 < node.value <= 1e-6
+            and id(node) not in allowed
+        ]
+    assert found == []
