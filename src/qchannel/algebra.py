@@ -3,7 +3,9 @@ fixed-point sets, the unitality equivalence between them, block structure of
 finite-dimensional †-closed operator algebras, noiseless-subsystem encoders,
 and the dead-subspace test for singular images of the identity.
 
-Operators are vectorized row-major throughout.  One resolver finds the block
+Operators are vectorized row-major throughout: an operator space is one
+(d, N, N) basis array with a (d, N^2) row view, and membership and equality
+project whole stacks in batched products.  One resolver finds the block
 structure (+) I_m (x) M_n of the †-algebra generated by a list of matrices
 from random elements of it (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
 Appl. Math. 27, 2010); the interaction algebra, the commutant, the Wedderburn
@@ -22,7 +24,7 @@ import numpy as np
 
 # bench/tracing.py wraps classify, null_space_basis and orthonormal_columns
 # under this module, so all three stay bound here.
-from .channels import KrausChannel, classify  # noqa: F401
+from .channels import KrausChannel, choi_matrix, classify  # noqa: F401
 from .errors import (
     DimensionMismatchError,
     NotAnAlgebraError,
@@ -44,59 +46,65 @@ from .linalg import (
 )
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=complex).reshape(-1)
+def _chunks(count: int, n: int) -> list[slice]:
+    """Slices of at most 2^20 / N^2 matrices, so batched N x N work on a long
+    list holds about 16 MiB per temporary."""
+    step = max(1, 2**20 // (n * n))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 class OperatorSpace:
     """Subspace of N x N operators carried as a Hilbert-Schmidt-orthonormal
-    basis; `vecs` stacks the basis as columns of an N^2 x dim isometry."""
+    basis: `basis` is one C-contiguous complex (d, N, N) array and `vecs` its
+    (d, N^2) row view, one row-major vectorized element per row.  Membership
+    projects a whole (k, N, N) stack in batches of `_chunks`."""
 
     __slots__ = ("basis", "vecs", "ambient_dim")
 
-    def __init__(self, basis: Sequence[np.ndarray]):
-        mats = [np.asarray(b, dtype=complex) for b in basis]
-        if not mats:
-            raise DimensionMismatchError("an operator space needs at least one basis element")
-        n = mats[0].shape[0]
-        if any(m.shape != (n, n) for m in mats):
-            raise DimensionMismatchError("basis elements must share one square shape")
+    def __init__(self, basis: Sequence[np.ndarray] | np.ndarray):
+        try:
+            mats = np.ascontiguousarray(basis, dtype=complex)
+        except ValueError:  # a ragged list
+            mats = np.empty(0)
+        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1] != mats.shape[2]:
+            raise DimensionMismatchError("a basis is one or more matrices of one square shape")
         self.basis = mats
-        self.vecs = np.column_stack([_vec(m) for m in mats])
-        self.ambient_dim = int(n)
-        if not is_identity(dagger(self.vecs) @ self.vecs, STRUCTURAL_TOL):
+        self.vecs = mats.reshape(len(mats), -1)
+        self.ambient_dim = int(mats.shape[1])
+        if not is_identity(self.vecs.conj() @ self.vecs.T, STRUCTURAL_TOL):
             raise DimensionMismatchError("basis is not HS-orthonormal")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def project(self, op) -> np.ndarray:
-        v = _vec(op)
-        return (self.vecs @ (dagger(self.vecs) @ v)).reshape(self.ambient_dim, self.ambient_dim)
+    def residual(self, ops) -> float | np.ndarray:
+        """Frobenius distance from the space of one operator, or of each of a (k, N, N) stack."""
+        ops = np.asarray(ops, dtype=complex)
+        n = self.ambient_dim
+        stack = ops.reshape(-1, n, n)
+        out = np.empty(len(stack))
+        for part in _chunks(len(stack), n):
+            x = stack[part].reshape(-1, n * n)
+            # Coefficients <b_j, x> as conj(x^* . b_j), without a conjugated copy of the basis.
+            out[part] = np.linalg.norm(x - (x.conj() @ self.vecs.T).conj() @ self.vecs, axis=1)
+        return float(out[0]) if ops.ndim == 2 else out
 
-    def residual(self, op) -> float:
-        op = np.asarray(op, dtype=complex)
-        return frob(op - self.project(op))
-
-    def contains(self, op, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(op) <= tol * max(1.0, frob(op))
+    def contains(self, ops, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
+        """Membership within tol * max(1, ||X||_F), of one operator or of each of a stack."""
+        ops = np.asarray(ops, dtype=complex)
+        inside = self.residual(ops) <= tol * np.maximum(1.0, np.linalg.norm(ops, axis=(-2, -1)))
+        return bool(inside) if ops.ndim == 2 else inside
 
     def __repr__(self) -> str:
         return f"OperatorSpace(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
-
-def _space_from_vec_columns(cols: np.ndarray, n: int) -> OperatorSpace:
-    return OperatorSpace([cols[:, j].reshape(n, n) for j in range(cols.shape[1])])
 
 
 def spaces_equal(a: OperatorSpace, b: OperatorSpace, tol: float = DEFAULT_TOL) -> bool:
     """Mutual-projection test; dimension agreement alone is not enough."""
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
-    return all(b.residual(m) <= tol for m in a.basis) and all(
-        a.residual(m) <= tol for m in b.basis
-    )
+    return bool(np.all(b.residual(a.basis) <= tol) and np.all(a.residual(b.basis) <= tol))
 
 
 def _new_directions(candidates: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -132,25 +140,24 @@ def _closure(seed_ops: Sequence[np.ndarray], n: int, include_adjoints: bool, inc
         words = gens[:, None] @ fresh.T.reshape(-1, n, n)[None]
         fresh = _new_directions(words.reshape(-1, n * n).T, cols)
         cols = np.hstack([cols, fresh])
-    return _space_from_vec_columns(cols, n)
+    return OperatorSpace(cols.T.reshape(-1, n, n))
 
 
 def channel_superoperator(ch: KrausChannel) -> np.ndarray:
-    """N^2 x N^2 matrix of the channel on row-major vectorized operators.
+    """N^2 x N^2 matrix of the channel on row-major vectorized operators, the
+    Choi matrix reshuffled: S[(i, k), (j, l)] = C[(j, i), (l, k)].
 
     Raises SizeLimitError above linalg.MAX_SUPEROPERATOR_BYTES."""
-    require_superoperator_size(16 * ch.dim**4, f"channel superoperator at dimension {ch.dim}")
-    total = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
-    for e in ch.operators:
-        total += kron(e, e.conj())
-    return total
+    n = ch.dim
+    require_superoperator_size(16 * n**4, f"channel superoperator at dimension {n}")
+    return choi_matrix(ch).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
 
 
 def fixed_point_set(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """Kernel of (channel - identity) on vectorized operators."""
     phi = channel_superoperator(ch)
     cols = null_space_basis(phi - np.eye(ch.dim**2), tol, scale=1.0)
-    return _space_from_vec_columns(cols, ch.dim)
+    return OperatorSpace(cols.T.reshape(-1, ch.dim, ch.dim))
 
 
 class FixVsCommutant(NamedTuple):
@@ -174,7 +181,7 @@ def adjoints_in_algebra(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     if not ch.is_unital(tol):
         raise NotUnitalError("adjoint-closure test is stated for unital channels")
     a0 = _closure(ch.operators, ch.dim, include_adjoints=False, include_identity=False)
-    return all(a0.contains(dagger(e), tol) for e in ch.operators)
+    return bool(np.all(a0.contains(np.stack(ch.operators).conj().transpose(0, 2, 1), tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +198,6 @@ class AlgebraStructure:
     blocks: list[tuple[int, int]]
     basis_change: np.ndarray
     block_offsets: list[int]
-
-
-def _chunks(count: int, n: int) -> list[slice]:
-    """Slices of at most 2^20 / N^2 matrices, so batched N x N work on a long
-    list holds about 16 MiB per temporary."""
-    step = max(1, 2**20 // (n * n))
-    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _cluster_starts(vals: np.ndarray, gap: float) -> np.ndarray:
@@ -306,7 +306,7 @@ def _resolve(generators: Sequence[np.ndarray], tol: float, seed: int) -> Algebra
     fails the certificate is retried with the next seed and one more word
     degree, five draws in all.
     """
-    gens = np.stack([np.asarray(g, dtype=complex) for g in generators])
+    gens = np.array(generators, dtype=complex)
     norms = np.linalg.norm(gens, axis=(1, 2))
     gens /= np.where(norms > 0, norms, 1.0)[:, None, None]
     cut = max(tol, DEFAULT_TOL)
@@ -336,11 +336,13 @@ def _pattern_span(structure: AlgebraStructure, what: str) -> OperatorSpace:
     n = w.shape[0]
     dim = sum(n_block * n_block for _, n_block in structure.blocks)
     require_superoperator_size(16 * dim * n * n, f"{dim}-dimensional {what} basis at dimension {n}")
-    basis = []
+    basis = np.empty((dim, n, n), dtype=complex)
+    start = 0
     for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
         # m^(-1/4) on both factors gives the 1/sqrt(m) normalisation.
         v = w[:, off : off + m_block * n_block].reshape(n, m_block, n_block) / m_block**0.25
-        basis.extend(np.einsum("xai,yaj->ijxy", v, v.conj()).reshape(-1, n, n))
+        np.einsum("xai,yaj->ijxy", v, v.conj(), out=basis[start : start + n_block**2].reshape(n_block, n_block, n, n))
+        start += n_block**2
     return OperatorSpace(basis)
 
 
@@ -379,10 +381,10 @@ def _require_algebra(space: OperatorSpace, tol: float) -> None:
     check = max(tol, DEFAULT_TOL)
     if not space.contains(np.eye(n), check * n):
         raise NotAnAlgebraError("space does not contain the identity")
-    if not all(space.contains(dagger(b), check) for b in space.basis):
+    if not np.all(space.contains(space.basis.conj().transpose(0, 2, 1), check)):
         raise NotAnAlgebraError("space is not adjoint-closed")
     rng = np.random.default_rng(0)
-    a, b = (space.vecs @ (rng.standard_normal((space.dim, 2)) + 1j * rng.standard_normal((space.dim, 2)))).T
+    a, b = (rng.standard_normal((space.dim, 2)) + 1j * rng.standard_normal((space.dim, 2))).T @ space.vecs
     if not space.contains((a / np.linalg.norm(a)).reshape(n, n) @ (b / np.linalg.norm(b)).reshape(n, n), check):
         raise NotAnAlgebraError("space is not closed under products")
 
@@ -411,13 +413,13 @@ def wedderburn_structure(space: OperatorSpace, tol: float = DEFAULT_TOL, seed: i
     return structure
 
 
-def _pattern_residual(mats, structure: AlgebraStructure) -> float:
-    """Fraction of the Frobenius mass of W† X W, over the X in `mats`,
-    outside the block-ampliation pattern."""
+def _pattern_residual(mats: np.ndarray, structure: AlgebraStructure) -> float:
+    """Fraction of the Frobenius mass of W† X W, over the X in the (k, N, N)
+    stack `mats`, outside the block-ampliation pattern."""
     w = structure.basis_change
     total_sq = off_sq = 0.0
     for part in _chunks(len(mats), w.shape[0]):
-        x = dagger(w) @ np.stack(mats[part]) @ w
+        x = dagger(w) @ mats[part] @ w
         total_sq += float(np.vdot(x, x).real)
         for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
             diag = [slice(off + a * n_block, off + (a + 1) * n_block) for a in range(m_block)]

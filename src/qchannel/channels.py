@@ -324,22 +324,11 @@ def collective_rotation(
 def permutation_unitary(perm: Sequence[int], d: int) -> np.ndarray:
     """Unitary permuting tensor factors: slot m of the output carries input
     factor perm[m] (0-based) on (C^d) to the n."""
+    # Column idx of the identity, its rows split into n digits (slot 1 most
+    # significant); output digit m is input digit perm[m].
     n = len(perm)
-    dim = d**n
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        digits = []
-        rest = idx
-        for _ in range(n):
-            digits.append(rest % d)
-            rest //= d
-        digits.reverse()  # slot 1 is the most significant digit
-        out_digits = [digits[perm[m]] for m in range(n)]
-        out = 0
-        for g in out_digits:
-            out = out * d + g
-        u[out, idx] = 1.0
-    return u
+    eye = np.eye(d**n, dtype=complex).reshape((d,) * n + (d**n,))
+    return eye.transpose(list(perm) + [n]).reshape(d**n, d**n)
 
 
 def permutation_channel(d: int, n: int, weights: Sequence[float] | None = None) -> KrausChannel:

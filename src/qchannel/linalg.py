@@ -14,7 +14,8 @@ four shared rules are implemented once each, here:
 
     decision                              residual (rule)                  threshold (tol = --tol)
     trace preservation, unitality         sum E†E, sum E E† (identity)     tol
-    unitarity, recovery completeness      U†U, sum C_k C_k† (identity)     tol
+    unitarity, recovery and measurement   U†U, sum C_k C_k†, sum M†M       tol
+      completeness (measure_state)          (identity)
     Choi positivity, KL scalar matrix     C, lambda (hermitian_psd)        tol
     Kraus, polar, null-space and          spectrum (spectral_support;      tol
       intertwiner rank, dead subspace       floor 1: weights, fixed points)
@@ -108,7 +109,10 @@ def hs_inner(a, b) -> complex:
 
 def is_identity(x, tol: float = DEFAULT_TOL) -> bool:
     """Identity rule: ||x - I_n||_F <= tol * n for a square array x."""
-    return frob(x - np.eye(len(x))) <= tol * len(x)
+    # One complex copy with 1 taken off its diagonal, and no identity temporary.
+    d = np.array(x, dtype=complex)
+    d.flat[:: len(d) + 1] -= 1.0
+    return frob(d) <= tol * len(d)
 
 
 def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:

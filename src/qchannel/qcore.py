@@ -140,14 +140,14 @@ def is_projective(operators, tol: float = STRUCTURAL_TOL) -> bool:
 def measure_state(psi, operators, tol: float = DEFAULT_TOL):
     """Outcome distribution of a measurement on a pure state.
 
-    Returns a list of (probability, post_state) pairs in operator order; the
-    post state is None for outcomes with probability below tol.
+    Returns (probability, post_state) pairs in operator order; tol is the
+    completeness threshold and the probability below which post_state is None.
     """
     psi = np.asarray(psi, dtype=complex)
     ops = [np.asarray(m, dtype=complex) for m in operators]
     if any(m.shape != (psi.size, psi.size) for m in ops):
         raise DimensionMismatchError("measurement operators do not match the state dimension")
-    if not is_measurement(ops):
+    if not is_measurement(ops, tol):
         raise InvalidMeasurementError("operators fail the completeness sum")
     outcomes = []
     for m in ops:

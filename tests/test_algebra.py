@@ -152,6 +152,71 @@ class TestFixedPoints:
             for b in commutant(ch.operators).basis:
                 assert np.linalg.norm(phi @ b.reshape(-1) - b.reshape(-1)) <= 1e-8, name
 
+    def test_superoperator_is_the_kron_sum(self):
+        # The reshuffled Choi matrix holds the same products, summed in the
+        # same order, as sum_E kron(E, conj(E)).
+        instances = unital_instances() + [
+            ("amplitude_damping", amplitude_damping(0.5)),
+            ("dead_row", dead_row(3)),
+            ("collective_rotation4", collective_rotation(4)),
+        ]
+        for name, ch in instances:
+            reference = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
+            for e in ch.operators:
+                reference += kron(e, e.conj())
+            phi = channel_superoperator(ch)
+            assert phi.shape == reference.shape and phi.tobytes() == reference.tobytes(), name
+
+
+class TestOneArrayLayout:
+    """An operator space is one complex (d, N, N) array with a row view."""
+
+    def test_basis_is_one_array_and_vecs_a_view(self):
+        spaces = {
+            "commutant": commutant(collective_rotation(3).operators),
+            "interaction_algebra": interaction_algebra(collective_rotation(3)),
+            "fix": fixed_point_set(bit_flip(0.3)),
+            "list": OperatorSpace([E00, np.diag([0.0, 1.0])]),
+        }
+        for name, space in spaces.items():
+            n = space.ambient_dim
+            assert isinstance(space.basis, np.ndarray), name
+            assert space.basis.dtype == complex and space.basis.shape == (space.dim, n, n), name
+            assert space.basis.flags.c_contiguous, name
+            assert space.vecs.shape == (space.dim, n * n), name
+            assert np.shares_memory(space.vecs, space.basis), name
+
+    def test_batched_residual_matches_each_element(self):
+        # N = 64 gives 256 operators per chunk, so 300 operators span two.
+        n, d, k = 64, 5, 300
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((n * n, d)) + 1j * rng.standard_normal((n * n, d)))
+        space = OperatorSpace(q.T.reshape(d, n, n))
+        stack = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        stack[::7] = np.tensordot(rng.standard_normal((len(stack[::7]), d)), space.basis, axes=1)
+        batched = space.residual(stack)
+        coeffs = np.einsum("jab,kab->kj", space.basis.conj(), stack)
+        reference = np.linalg.norm(stack - np.tensordot(coeffs, space.basis, axes=1), axis=(1, 2))
+        assert batched.shape == (k,)
+        assert np.max(np.abs(batched - reference)) <= 1e-12 * max(1.0, np.max(reference))
+        assert all(space.residual(x) == pytest.approx(r, abs=1e-12 * max(1.0, r)) for x, r in zip(stack[:3], batched))
+        inside = space.contains(stack)
+        assert inside.shape == (k,) and inside[::7].all() and not inside[1::7].any()
+        assert space.contains(stack[0]) is True
+
+    def test_commutant_peak_memory(self):
+        # At d = N^2 the peak is the basis plus two arrays of its size (its
+        # conjugate and the Gram matrix, then the Gram matrix and the identity
+        # rule's copy of it): about 3x the basis.
+        tracemalloc.start()
+        try:
+            space = commutant([np.eye(24)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.dim == 576
+        assert peak <= 4 * space.basis.nbytes
+
 
 class TestSizeGuard:
     def test_superoperators_refused_before_allocating(self):

@@ -215,6 +215,16 @@ class TestTolerancePolicy:
         assert is_identity(np.eye(4) + 0.9 * self.TOL * 4 * bump, self.TOL)
         assert not is_identity(np.eye(4) + 1.1 * self.TOL * 4 * bump, self.TOL)
 
+    def test_identity_rule_holds_one_copy(self):
+        x = np.eye(512, dtype=complex)
+        tracemalloc.start()
+        try:
+            assert is_identity(x, self.TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.nbytes
+
     @pytest.mark.parametrize(("factor", "hermitian"), [(0.9, True), (1.1, False)])
     def test_hermitian_rule(self, factor, hermitian):
         h = np.diag([3.0, 1.0, 0.5]).astype(complex)

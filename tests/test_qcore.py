@@ -165,6 +165,15 @@ class TestMeasurement:
         with pytest.raises(InvalidMeasurementError):
             measure_state(PLUS, [pure_density(basis_state(0, 2))])
 
+    def test_tol_reaches_completeness(self):
+        # sum M†M - I has norm 1e-8: inside tol * 2 at 1e-6, outside at the default.
+        ops = [np.sqrt(1 + 1e-8) * pure_density(basis_state(0, 2)), pure_density(basis_state(1, 2))]
+        probs = [p for p, _ in measure_state(basis_state(0, 2), ops, tol=1e-6)]
+        assert probs == pytest.approx([1, 0], abs=1e-7)
+        assert sample_measurement(basis_state(0, 2), ops, np.random.default_rng(0), tol=1e-6)[0] == 0
+        with pytest.raises(InvalidMeasurementError):
+            measure_state(basis_state(0, 2), ops)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             measure_state(basis_state(0, 4), computational_projectors(2))
