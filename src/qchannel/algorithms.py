@@ -76,22 +76,13 @@ def quantum_parallelism(f: BooleanOracle) -> np.ndarray:
 
 
 def deutsch(f: BooleanOracle) -> AlgorithmVerdict:
-    """One-query constant-vs-balanced test for a single-bit function.
-
-    Runs (H x I) U_f (H x H) on |01> and measures the first qubit: outcome 0
-    means constant, outcome 1 means balanced, each with certainty.
+    """One-query constant-vs-balanced test for a single-bit function: the
+    m = 1 case of `deutsch_jozsa`, whose circuit (H x I) U_f (H x H) on |01>
+    measures 0 on the first qubit with certainty exactly when f is constant.
     """
     if f.m != 1 or f.k != 1:
         raise WrongArityError(f"need m = k = 1, got m={f.m}, k={f.k}")
-    h = gate("H")
-    eye2 = np.eye(2)
-    circuit = kron(h, eye2) @ oracle_unitary(f) @ kron(h, h)
-    final = circuit @ basis_state(0b01, 4)
-    p0 = float(abs(final[0]) ** 2 + abs(final[1]) ** 2)
-    p1 = 1.0 - p0
-    if p0 >= p1:
-        return AlgorithmVerdict("constant", p0)
-    return AlgorithmVerdict("balanced", p1)
+    return deutsch_jozsa(f)
 
 
 def _check_promise(f: BooleanOracle) -> None:

@@ -19,12 +19,8 @@ import os
 import sys
 
 from . import algebra, algorithms, channels, qec, serialize
-from .channels import BUILTIN_CHANNELS
 from .errors import ConditionViolatedError, InputError, InvalidParameterError, PreconditionError, SchemaError
 from .linalg import DEFAULT_TOL
-
-BUILTIN_CODES = ("repetition3", "shor9")
-
 
 def _parse_query_value(raw: str):
     if "," in raw:
@@ -42,7 +38,7 @@ def _parse_query_value(raw: str):
         return raw
 
 
-def _split_builtin(ref: str, known: tuple[str, ...]) -> tuple[str, dict] | None:
+def _split_builtin(ref: str, known: dict) -> tuple[str, dict] | None:
     """Recognize builtin:NAME[?k=v&...] or a bare catalogue name that does not
     shadow an existing file."""
     if ref.startswith("builtin:"):
@@ -68,7 +64,7 @@ def _load_json(path: str):
 
 
 def _resolve_channel(ref: str) -> channels.KrausChannel:
-    hit = _split_builtin(ref, tuple(BUILTIN_CHANNELS))
+    hit = _split_builtin(ref, channels.BUILTIN_CHANNELS)
     if hit is not None:
         name, params = hit
         return serialize.channel_from_json({"builtin": name, "params": params})
@@ -76,7 +72,7 @@ def _resolve_channel(ref: str) -> channels.KrausChannel:
 
 
 def _resolve_code(ref: str) -> qec.QuantumCode:
-    hit = _split_builtin(ref, BUILTIN_CODES)
+    hit = _split_builtin(ref, qec.BUILTIN_CODES)
     if hit is not None:
         name, params = hit
         if params:
@@ -90,73 +86,108 @@ def _scalar_pair(z) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns the report dict in its final field order.
+# The verb table: one row per verb, in `--help` order.  A handler returns the
+# report fields that follow "verb" and "paper_ref", in their final order.
 # ---------------------------------------------------------------------------
 
+VERBS: dict = {}  # name -> (paper_ref, {flag: add_argument kwargs}, handler)
+_SPACES: dict = {}  # space verb name -> space(source, tol); the `structure --of` choices
+_REQUIRED = {"required": True}
 
-def _run_classify(args) -> dict:
+
+def _verb(name: str, paper_ref: str, **flags):
+    """Register handler(args) as verb `name` with its --flags (argparse kwargs)."""
+
+    def register(handler):
+        VERBS[name] = (paper_ref, flags, handler)
+        return handler
+
+    return register
+
+
+def _generators_or_channel(args):
+    """The --generators matrix list, or the --channel channel."""
+    if getattr(args, "generators", None):
+        return serialize.matrix_list_from_json(_load_json(args.generators))
+    if getattr(args, "channel", None):
+        return _resolve_channel(args.channel)
+    raise SchemaError("provide --channel or --generators")
+
+
+def _space_verb(name: str, paper_ref: str, **flags):
+    """Register space(source, tol) -> OperatorSpace as a verb that reports the
+    space of its `_generators_or_channel` source."""
+
+    def register(space):
+        _SPACES[name] = space
+        _verb(name, paper_ref, **flags)(lambda args: _space_fields(space(_generators_or_channel(args), args.tol)))
+        return space
+
+    return register
+
+
+def _space_fields(space: algebra.OperatorSpace) -> dict:
+    return {
+        "ambient_dim": space.ambient_dim,
+        "dimension": space.dim,
+        "basis": [serialize.matrix_to_json(b) for b in space.basis],
+    }
+
+
+@_verb("classify", "choi_positivity_criterion", channel=_REQUIRED)
+def _classify(args) -> dict:
     cls = channels.classify(_resolve_channel(args.channel), args.tol)
     return {
-        "verb": "classify",
-        "paper_ref": "choi_positivity_criterion",
         "completely_positive": cls.completely_positive,
         "trace_preserving": cls.trace_preserving,
         "unital": cls.unital,
     }
 
 
-def _run_choi(args) -> dict:
+@_verb("choi", "choi_matrix_of_matrix_units", channel=_REQUIRED)
+def _choi(args) -> dict:
     ch = _resolve_channel(args.channel)
-    report = {"verb": "choi", "paper_ref": "choi_matrix_of_matrix_units"}
-    report.update(serialize.choi_to_json(channels.choi_matrix(ch), ch.dim))
-    return report
+    return serialize.choi_to_json(channels.choi_matrix(ch), ch.dim)
 
 
-def _run_kraus_from_choi(args) -> dict:
+@_verb("kraus-from-choi", "operator_sum_extraction", choi=_REQUIRED)
+def _kraus_from_choi(args) -> dict:
     choi, _ = serialize.choi_from_json(_load_json(args.choi))
     ch = channels.kraus_from_choi(choi, args.tol)
-    return {
-        "verb": "kraus-from-choi",
-        "paper_ref": "operator_sum_extraction",
-        "operator_count": len(ch.operators),
-        "channel": serialize.channel_to_json(ch),
-    }
+    return {"operator_count": len(ch.operators), "channel": serialize.channel_to_json(ch)}
 
 
-def _run_channels_equal(args) -> dict:
+@_verb("channels-equal", "kraus_unitary_freedom", a=_REQUIRED, b=_REQUIRED)
+def _channels_equal(args) -> dict:
     a = _resolve_channel(args.a)
     b = _resolve_channel(args.b)
     equal = channels.channels_equal(a, b, args.tol)
     inter = channels.kraus_intertwiner(a, b, args.tol) if equal else None
     return {
-        "verb": "channels-equal",
-        "paper_ref": "kraus_unitary_freedom",
         "equal": equal,
         "choi_distance": channels.choi_distance(a, b),
         "intertwiner": serialize.matrix_to_json(inter) if inter is not None else None,
     }
 
 
-def _run_detect(args) -> dict:
+@_verb("detect", "scalar_compression_detectability", code=_REQUIRED, error=_REQUIRED)
+def _detect(args) -> dict:
     code = _resolve_code(args.code)
     err = serialize.matrix_from_json(_load_json(args.error))
     result = qec.detect(code, err, args.tol)
     return {
-        "verb": "detect",
-        "paper_ref": "scalar_compression_detectability",
         "detectable": result.detectable,
         "scalar": _scalar_pair(result.scalar) if result.scalar is not None else None,
         "residual": result.residual,
     }
 
 
-def _run_correctable(args) -> dict:
+@_verb("correctable", "knill_laflamme_conditions", code=_REQUIRED, errors=_REQUIRED)
+def _correctable(args) -> dict:
     code = _resolve_code(args.code)
     errs = serialize.matrix_list_from_json(_load_json(args.errors))
     result = qec.correctability(code, errs, args.tol)
     return {
-        "verb": "correctable",
-        "paper_ref": "knill_laflamme_conditions",
         "correctable": result.correctable,
         "lambda": serialize.matrix_to_json(result.lambda_matrix) if result.correctable else None,
         "offending_pair": list(result.offending_pair) if result.offending_pair else None,
@@ -174,11 +205,10 @@ def _build_recovery(args):
     return code, qec.build_recovery(code, errs, result.lambda_matrix, args.tol), result
 
 
-def _run_recovery(args) -> dict:
+@_verb("recovery", "recovery_synthesis", code=_REQUIRED, errors=_REQUIRED)
+def _recovery(args) -> dict:
     _, rec, result = _build_recovery(args)
     return {
-        "verb": "recovery",
-        "paper_ref": "recovery_synthesis",
         "lambda": serialize.matrix_to_json(result.lambda_matrix),
         "syndrome_count": len(rec.projectors),
         "weights": [float(w) for w in rec.weights],
@@ -189,77 +219,44 @@ def _run_recovery(args) -> dict:
     }
 
 
-def _run_verify_recovery(args) -> dict:
+@_verb("verify-recovery", "recovery_verification", channel=_REQUIRED, code=_REQUIRED, errors=_REQUIRED)
+def _verify_recovery(args) -> dict:
     code, rec, _ = _build_recovery(args)
     ch = _resolve_channel(args.channel)
     deviation = qec.verify_recovery(ch, rec, code, args.tol, seed=args.seed)
-    return {
-        "verb": "verify-recovery",
-        "paper_ref": "recovery_verification",
-        "max_deviation": deviation,
-        "success": deviation <= args.tol,
-    }
+    return {"max_deviation": deviation, "success": deviation <= args.tol}
 
 
-def _operator_space_report(verb: str, ref: str, space: algebra.OperatorSpace) -> dict:
-    return {
-        "verb": verb,
-        "paper_ref": ref,
-        "ambient_dim": space.ambient_dim,
-        "dimension": space.dim,
-        "basis": [serialize.matrix_to_json(b) for b in space.basis],
-    }
+@_space_verb("commutant", "noise_commutant", channel={}, generators={})
+def _commutant(source, tol: float) -> algebra.OperatorSpace:
+    ops = source.operators if isinstance(source, channels.KrausChannel) else source
+    return algebra.commutant(ops, tol)
 
 
-def _generators_or_channel(args):
-    if getattr(args, "generators", None):
-        return serialize.matrix_list_from_json(_load_json(args.generators))
-    if getattr(args, "channel", None):
-        return list(_resolve_channel(args.channel).operators)
-    raise SchemaError("provide --channel or --generators")
+@_space_verb("interaction-algebra", "interaction_algebra", channel=_REQUIRED)
+def _interaction_algebra(ch, tol: float) -> algebra.OperatorSpace:
+    return algebra.interaction_algebra(ch, tol)
 
 
-def _run_commutant(args) -> dict:
-    space = algebra.commutant(_generators_or_channel(args), args.tol)
-    return _operator_space_report("commutant", "noise_commutant", space)
+@_space_verb("fix", "channel_fixed_points", channel=_REQUIRED)
+def _fix(ch, tol: float) -> algebra.OperatorSpace:
+    return algebra.fixed_point_set(ch, tol)
 
 
-def _run_interaction_algebra(args) -> dict:
-    space = algebra.interaction_algebra(_resolve_channel(args.channel), args.tol)
-    return _operator_space_report("interaction-algebra", "interaction_algebra", space)
+@_verb("fix-vs-commutant", "unital_fixed_point_theorem", channel=_REQUIRED)
+def _fix_vs_commutant(args) -> dict:
+    result = algebra.fix_equals_commutant(_resolve_channel(args.channel), args.tol)
+    return {"equal": result.equal, "unital": result.unital}
 
 
-def _run_fix(args) -> dict:
-    space = algebra.fixed_point_set(_resolve_channel(args.channel), args.tol)
-    return _operator_space_report("fix", "channel_fixed_points", space)
-
-
-def _run_fix_vs_commutant(args) -> dict:
-    ch = _resolve_channel(args.channel)
-    result = algebra.fix_equals_commutant(ch, args.tol)
-    return {
-        "verb": "fix-vs-commutant",
-        "paper_ref": "unital_fixed_point_theorem",
-        "equal": result.equal,
-        "unital": result.unital,
-    }
-
-
-def _run_structure(args) -> dict:
-    if getattr(args, "generators", None):
-        space = algebra.commutant(serialize.matrix_list_from_json(_load_json(args.generators)), args.tol)
-    else:
-        ch = _resolve_channel(args.channel)
-        if args.of == "commutant":
-            space = algebra.commutant(ch.operators, args.tol)
-        elif args.of == "interaction-algebra":
-            space = algebra.interaction_algebra(ch, args.tol)
-        else:
-            space = algebra.fixed_point_set(ch, args.tol)
+@_verb("structure", "wedderburn_decomposition", channel={}, generators={}, of={"choices": list(_SPACES)})
+def _structure(args) -> dict:
+    source = _generators_or_channel(args)
+    # --of picks a channel's space (its commutant by default); generators have only a commutant.
+    space_of = _SPACES[args.of] if args.of and isinstance(source, channels.KrausChannel) else _commutant
+    space = space_of(source, args.tol)
     structure = algebra.wedderburn_structure(space, args.tol, args.seed)
     return {
-        "verb": "structure",
-        "paper_ref": "wedderburn_decomposition",
         "dim": space.dim,
         "blocks": [{"m": m, "n": n} for m, n in structure.blocks],
         "block_offsets": structure.block_offsets,
@@ -267,12 +264,10 @@ def _run_structure(args) -> dict:
     }
 
 
-def _run_noiseless(args) -> dict:
-    ch = _resolve_channel(args.channel)
-    blocks = algebra.noiseless_subsystems(ch, args.tol, args.seed)
+@_verb("noiseless", "noiseless_subsystems", channel=_REQUIRED)
+def _noiseless(args) -> dict:
+    blocks = algebra.noiseless_subsystems(_resolve_channel(args.channel), args.tol, args.seed)
     return {
-        "verb": "noiseless",
-        "paper_ref": "noiseless_subsystems",
         "blocks": [
             {"m": b.multiplicity, "n": b.block_dim, "decoherence_free": b.decoherence_free}
             for b in blocks
@@ -280,75 +275,46 @@ def _run_noiseless(args) -> dict:
     }
 
 
-def _run_dead_subspace(args) -> dict:
+@_verb("dead-subspace", "singular_identity_image", channel=_REQUIRED)
+def _dead_subspace(args) -> dict:
     result = algebra.dead_subspace(_resolve_channel(args.channel), args.tol)
-    report = {"verb": "dead-subspace", "paper_ref": "singular_identity_image"}
     if result is None:
-        report["invertible"] = True
-        return report
-    report["invertible"] = False
-    report["perp_projector"] = serialize.matrix_to_json(result.perp_projector)
-    report["hypothesis_holds"] = result.hypothesis_holds
-    return report
-
-
-def _verdict_report(verb: str, ref: str, verdict: algorithms.AlgorithmVerdict) -> dict:
-    return {"verb": verb, "paper_ref": ref, "verdict": verdict.verdict, "probability": verdict.probability}
-
-
-def _run_deutsch(args) -> dict:
-    f = serialize.oracle_from_json(_load_json(args.oracle))
-    return _verdict_report("deutsch", "deutsch_algorithm", algorithms.deutsch(f))
-
-
-def _run_deutsch_jozsa(args) -> dict:
-    f = serialize.oracle_from_json(_load_json(args.oracle))
-    return _verdict_report("deutsch-jozsa", "deutsch_jozsa_algorithm", algorithms.deutsch_jozsa(f))
-
-
-def _run_parallelism(args) -> dict:
-    f = serialize.oracle_from_json(_load_json(args.oracle))
-    state = algorithms.quantum_parallelism(f)
+        return {"invertible": True}
     return {
-        "verb": "parallelism",
-        "paper_ref": "quantum_parallelism",
-        "state": serialize.state_to_json(state),
+        "invertible": False,
+        "perp_projector": serialize.matrix_to_json(result.perp_projector),
+        "hypothesis_holds": result.hypothesis_holds,
     }
 
 
-def _run_adder(args) -> dict:
+def _verdict_fields(verdict: algorithms.AlgorithmVerdict) -> dict:
+    return {"verdict": verdict.verdict, "probability": verdict.probability}
+
+
+def _oracle(args) -> algorithms.BooleanOracle:
+    return serialize.oracle_from_json(_load_json(args.oracle))
+
+
+@_verb("deutsch", "deutsch_algorithm", oracle=_REQUIRED)
+def _deutsch(args) -> dict:
+    return _verdict_fields(algorithms.deutsch(_oracle(args)))
+
+
+@_verb("deutsch-jozsa", "deutsch_jozsa_algorithm", oracle=_REQUIRED)
+def _deutsch_jozsa(args) -> dict:
+    return _verdict_fields(algorithms.deutsch_jozsa(_oracle(args)))
+
+
+@_verb("parallelism", "quantum_parallelism", oracle=_REQUIRED)
+def _parallelism(args) -> dict:
+    return {"state": serialize.state_to_json(algorithms.quantum_parallelism(_oracle(args)))}
+
+
+@_verb("adder", "modular_addition_unitary", bits={"required": True, "type": int})
+def _adder(args) -> dict:
     if args.bits > 5:
         raise SchemaError("adder output is dense; --bits above 5 is not supported")
-    u = algorithms.modular_adder(args.bits)
-    return {
-        "verb": "adder",
-        "paper_ref": "modular_addition_unitary",
-        "bits": args.bits,
-        "matrix": serialize.matrix_to_json(u),
-    }
-
-
-_HANDLERS = {
-    "classify": _run_classify,
-    "choi": _run_choi,
-    "kraus-from-choi": _run_kraus_from_choi,
-    "channels-equal": _run_channels_equal,
-    "detect": _run_detect,
-    "correctable": _run_correctable,
-    "recovery": _run_recovery,
-    "verify-recovery": _run_verify_recovery,
-    "commutant": _run_commutant,
-    "interaction-algebra": _run_interaction_algebra,
-    "fix": _run_fix,
-    "fix-vs-commutant": _run_fix_vs_commutant,
-    "structure": _run_structure,
-    "noiseless": _run_noiseless,
-    "dead-subspace": _run_dead_subspace,
-    "deutsch": _run_deutsch,
-    "deutsch-jozsa": _run_deutsch_jozsa,
-    "parallelism": _run_parallelism,
-    "adder": _run_adder,
-}
+    return {"bits": args.bits, "matrix": serialize.matrix_to_json(algorithms.modular_adder(args.bits))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,37 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="qchannel", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb, **arguments):
-        p = sub.add_parser(verb, parents=[common])
-        for flag, kwargs in arguments.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        return p
-
-    add("classify", channel={"required": True})
-    add("choi", channel={"required": True})
-    add("kraus-from-choi", choi={"required": True})
-    add("channels-equal", a={"required": True}, b={"required": True})
-    add("detect", code={"required": True}, error={"required": True})
-    add("correctable", code={"required": True}, errors={"required": True})
-    add("recovery", code={"required": True}, errors={"required": True})
-    add("verify-recovery", channel={"required": True}, code={"required": True}, errors={"required": True})
-    add("commutant", channel={}, generators={})
-    add("interaction-algebra", channel={"required": True})
-    add("fix", channel={"required": True})
-    add("fix-vs-commutant", channel={"required": True})
-    add(
-        "structure",
-        channel={},
-        generators={},
-        of={"choices": ["commutant", "interaction-algebra", "fix"], "default": "commutant"},
-    )
-    add("noiseless", channel={"required": True})
-    add("dead-subspace", channel={"required": True})
-    add("deutsch", oracle={"required": True})
-    add("deutsch-jozsa", oracle={"required": True})
-    add("parallelism", oracle={"required": True})
-    add("adder", bits={"required": True, "type": int})
+    for name, (_, flags, _) in VERBS.items():
+        p = sub.add_parser(name, parents=[common])
+        for flag, kwargs in flags.items():
+            p.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
@@ -422,17 +361,17 @@ def _check_args(args) -> None:
 def _run(args) -> int:
     try:
         _check_args(args)
-        report = _HANDLERS[args.verb](args)
+        paper_ref, _, handler = VERBS[args.verb]
+        text = serialize.dumps({"verb": args.verb, "paper_ref": paper_ref, **handler(args)})
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (InputError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 2
     except PreconditionError as exc:
         _emit_error(exc)
         return 3
-    text = serialize.dumps(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     if not args.quiet:
         print(text)
     return 0

@@ -39,7 +39,7 @@ from .linalg import (
     require_finite,
     spectral_support,
 )
-from .qcore import basis_state
+from .qcore import basis_state, random_density
 
 
 class QuantumCode:
@@ -85,18 +85,27 @@ def make_code(kets: Sequence[np.ndarray]) -> QuantumCode:
     return QuantumCode(cols)
 
 
+def _shor9() -> QuantumCode:
+    """Shor's nine-qubit code: |0_L>, |1_L> = (|000> +- |111>)^(x3) / 2 sqrt(2)."""
+    plus = basis_state(0, 8) + basis_state(7, 8)
+    minus = basis_state(0, 8) - basis_state(7, 8)
+    norm = 2.0 * np.sqrt(2.0)
+    return make_code([kron_chain([plus] * 3) / norm, kron_chain([minus] * 3) / norm])
+
+
+BUILTIN_CODES = {
+    "repetition3": lambda: make_code([basis_state(0, 8), basis_state(7, 8)]),
+    "shor9": _shor9,
+}
+
+
 def builtin_code(name: str) -> QuantumCode:
-    """Named example codes: repetition3 and shor9."""
-    if name == "repetition3":
-        return make_code([basis_state(0, 8), basis_state(7, 8)])
-    if name == "shor9":
-        plus = basis_state(0, 8) + basis_state(7, 8)
-        minus = basis_state(0, 8) - basis_state(7, 8)
-        norm = 2.0 * np.sqrt(2.0)
-        zero_l = kron_chain([plus, plus, plus]) / norm
-        one_l = kron_chain([minus, minus, minus]) / norm
-        return make_code([zero_l, one_l])
-    raise UnknownCodeError(f"unknown builtin code {name!r}; known: repetition3, shor9")
+    """Construct a catalogue code by name."""
+    try:
+        ctor = BUILTIN_CODES[name]
+    except KeyError:
+        raise UnknownCodeError(f"unknown builtin code {name!r}; known: {', '.join(sorted(BUILTIN_CODES))}") from None
+    return ctor()
 
 
 @dataclass
@@ -330,7 +339,5 @@ def verify_recovery(
             worst = max(worst, deviation(sigma))
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        sigma = g @ dagger(g)
-        worst = max(worst, deviation(sigma / np.trace(sigma).real))
+        worst = max(worst, deviation(random_density(k, rng)))
     return worst

@@ -83,6 +83,7 @@ class TestDeutsch:
             verdict = deutsch(oracle)
             assert verdict.verdict == expected[table]
             assert abs(verdict.probability - 1) <= 1e-10
+            assert verdict == deutsch_jozsa(oracle)
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArityError):

@@ -1,11 +1,14 @@
 import gc
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qchannel.channels import collective_rotation
-from qchannel.cli import main
+from qchannel.channels import BUILTIN_CHANNELS, collective_rotation
+from qchannel.cli import VERBS, main
+from qchannel.qec import BUILTIN_CODES
 from qchannel.qcore import embed_single, gate
 from qchannel.serialize import dumps, matrix_from_json, matrix_to_json
 
@@ -110,6 +113,39 @@ def test_out_and_quiet(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["unital"] is True
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, ["classify", "--channel", "builtin:bit_flip?p=0.3", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("verb", ["commutant", "structure"])
+def test_no_generators_or_channel_exits_2(capsys, verb):
+    code, out, err = run(capsys, [verb])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "SchemaError", "message": "provide --channel or --generators"}
+
+
+def readme_list(label):
+    """The backquoted names after `label` in the README, up to the next period."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    body = re.search(re.escape(label) + r"(.*?)\.(\s|$)", text, re.S).group(1)
+    return re.findall(r"`([^`]+)`", body)
+
+
+@pytest.mark.parametrize(
+    ("label", "names"),
+    [("Verbs:", VERBS), ("Builtin channels:", BUILTIN_CHANNELS), ("Builtin codes:", BUILTIN_CODES)],
+)
+def test_readme_lists_match_code(label, names):
+    assert readme_list(label) == list(names)
 
 
 def test_missing_file_exits_2(capsys):
