@@ -210,7 +210,7 @@ def _recovery(args) -> dict:
     _, rec, result = _build_recovery(args)
     return {
         "lambda": serialize.matrix_to_json(result.lambda_matrix),
-        "syndrome_count": len(rec.projectors),
+        "syndrome_count": len(rec.syndromes),
         "weights": [float(w) for w in rec.weights],
         "projectors": [serialize.matrix_to_json(p) for p in rec.projectors],
         "unitaries": [serialize.matrix_to_json(u) for u in rec.unitaries],
@@ -251,10 +251,10 @@ def _fix_vs_commutant(args) -> dict:
 
 @_verb("structure", "wedderburn_decomposition", channel={}, generators={}, of={"choices": list(_SPACES)})
 def _structure(args) -> dict:
-    source = _generators_or_channel(args)
     # --of picks a channel's space (its commutant by default); generators have only a commutant.
-    space_of = _SPACES[args.of] if args.of and isinstance(source, channels.KrausChannel) else _commutant
-    space = space_of(source, args.tol)
+    if args.generators and args.of not in (None, "commutant"):
+        raise SchemaError(f"--of {args.of} needs --channel; a generator list has only a commutant")
+    space = _SPACES[args.of or "commutant"](_generators_or_channel(args), args.tol)
     structure = algebra.wedderburn_structure(space, args.tol, args.seed)
     return {
         "dim": space.dim,

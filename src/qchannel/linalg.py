@@ -73,7 +73,7 @@ def as_operator(a) -> np.ndarray:
 
 def require_finite(a, what: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{what} contains non-finite entries")
     return arr
 

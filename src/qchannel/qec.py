@@ -8,6 +8,11 @@ condition on all pairwise products E_i† E_j, and the resulting scalar matrix
 drives an explicit recovery channel: diagonalize it, rotate the code onto
 range(F_k V) for each recombined error F_k inside span(V, F_k V), and measure
 the resulting syndrome projections.  Every test runs on K x K compressions.
+
+The recovery is kept in factored form: per syndrome an N x K isometry C_k and
+the rank-2K factors of its unitary, so beside its N x N Kraus list it costs
+O(NK) memory per syndrome.  The N x N syndrome projectors and unitaries are
+formed only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -209,18 +214,33 @@ def correctability(code: QuantumCode, errors: Sequence[np.ndarray], tol: float =
 
 @dataclass
 class RecoveryChannel:
-    """Recovery map together with its syndrome data.
+    """Recovery map together with its syndrome data, held as factors.
 
+    `syndromes` are the N x K isometries C_k whose ranges are the syndrome
+    subspaces, and `rotations` the pairs (Q_k, M_k), Q_k an N x m isometry
+    (m <= 2K) and M_k an m x m unitary, with U_k = I + Q_k (M_k - I) Q_k†.
     The channel applies the syndrome projections and undoes the per-syndrome
     unitaries; `completion` is the leftover projector (identity correction)
     when the syndromes do not already resolve the identity.
+
+    `projectors` (C_k C_k†) and `unitaries` (U_k) are N x N and recomputed
+    from the factors on each access.
     """
 
     channel: KrausChannel
-    projectors: list[np.ndarray]
-    unitaries: list[np.ndarray]
+    syndromes: list[np.ndarray]
+    rotations: list[tuple[np.ndarray, np.ndarray]]
     weights: np.ndarray
     completion: np.ndarray | None
+
+    @property
+    def projectors(self) -> list[np.ndarray]:
+        return [c @ dagger(c) for c in self.syndromes]
+
+    @property
+    def unitaries(self) -> list[np.ndarray]:
+        n = self.channel.dim
+        return [np.eye(n) + q @ (m - np.eye(len(m))) @ dagger(q) for q, m in self.rotations]
 
 
 def _sorted_eigh(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +272,12 @@ def build_recovery(
     with Q the reduced QR factor of [V C_k] (at most 2K columns), a = Q† V and
     b = Q† C_k, the small unitary M = b a† + W_b W_a† (W the `complete_isometry`
     complements) gives U_k = I + Q (M - I) Q†, so U_k V = C_k and U_k fixes
-    the orthogonal complement of the span.  The channel is built from the
-    mutually orthogonal syndrome projections C_k C_k† (completed with the
-    leftover projector unless they pass the identity rule).  Recombinations
-    outside the spectral support of lam (floor 1) act as zero on the code
-    and are skipped.
+    the orthogonal complement of the span; only the factors (Q, M) are kept.
+    The channel's Kraus operators are V C_k† for the mutually orthogonal
+    syndrome projections C_k C_k† (completed with the leftover projector
+    unless they pass the identity rule).  Recombinations outside the
+    spectral support of lam (floor 1) act as zero on the code and are
+    skipped.
     """
     n = code.ambient_dim
     lam = np.asarray(lam, dtype=complex)
@@ -270,8 +291,8 @@ def build_recovery(
 
     v, k = code.isometry, code.code_dim
     dvals, u = _sorted_eigh((lam + dagger(lam)) / 2.0)
-    unitaries = []
-    syndromes = []  # isometries U_k V whose ranges are the syndrome subspaces
+    syndromes = []  # isometries C_k = U_k V whose ranges are the syndrome subspaces
+    rotations = []
     weights = []
     for idx in np.flatnonzero(spectral_support(dvals, tol, 1.0)):
         d = float(dvals[idx])
@@ -281,20 +302,21 @@ def build_recovery(
             raise ConditionViolatedError("recombined error collapses the code")  # pragma: no cover
         q, _ = np.linalg.qr(np.hstack([v, c]))
         a, b = dagger(q) @ v, dagger(q) @ c
-        rotation = b @ dagger(a) + complete_isometry(b) @ dagger(complete_isometry(a))
-        unitaries.append(np.eye(n) + q @ (rotation - np.eye(len(rotation))) @ dagger(q))
+        rotations.append((q, b @ dagger(a) + complete_isometry(b) @ dagger(complete_isometry(a))))
         syndromes.append(c)
         weights.append(d)
 
     kraus = [v @ dagger(c) for c in syndromes]
-    projectors = [c @ dagger(c) for c in syndromes]
     completion = None
-    covered = sum(projectors, np.zeros((n, n), dtype=complex))
+    # Summed one projector at a time, in syndrome order, as `projectors` lists them.
+    covered = np.zeros((n, n), dtype=complex)
+    for c in syndromes:
+        covered += c @ dagger(c)
     if not is_identity(covered, tol):
         leftover = np.eye(n) - covered
         completion = (leftover + dagger(leftover)) / 2.0
         kraus.append(completion)
-    return RecoveryChannel(KrausChannel(kraus), projectors, unitaries, np.array(weights), completion)
+    return RecoveryChannel(KrausChannel(kraus), syndromes, rotations, np.array(weights), completion)
 
 
 def verify_recovery(
@@ -308,9 +330,12 @@ def verify_recovery(
     """Max Frobenius deviation of recover(transmit(rho)) from rho over all
     code matrix units plus seeded random code densities.
 
-    Evaluated in code coordinates: with every composite Kraus operator A
-    restricted to the code, the deviation matrix lives in the joint column
-    span, so compressing onto an orthonormal basis of that span is exact.
+    Multiplies the delivered Kraus operators R_j (so it checks what callers
+    receive), one product R_j [E_1 V ... E_r V] per R_j, and evaluates in
+    code coordinates: restricted to the code every composite R_j E_i lives in
+    the joint column span of the R_j E_i V and V, so compressing onto an
+    orthonormal basis of that span is exact.  All densities are then checked
+    in one batched contraction.
     """
     if not channel.is_trace_preserving(tol):
         raise NotTracePreservingError("recovery verification requires a trace-preserving channel")
@@ -318,26 +343,16 @@ def verify_recovery(
         raise DimensionMismatchError("channel and code dimensions differ")
     v = code.isometry
     k = code.code_dim
-    b = [e @ v for e in channel.operators]
-    terms = [rk @ bi for rk in recovery.channel.operators for bi in b]
-    stack = np.hstack(terms + [v])
-    q, _ = np.linalg.qr(stack)
-    small = [dagger(q) @ t for t in terms]
+    images = np.hstack([e @ v for e in channel.operators])
+    terms = np.hstack([rk @ images for rk in recovery.channel.operators])  # R_j E_i V, j-major
+    q, _ = np.linalg.qr(np.hstack([terms, v]))
+    small = (dagger(q) @ terms).reshape(q.shape[1], -1, k)
     v_small = dagger(q) @ v
 
-    def deviation(sigma: np.ndarray) -> float:
-        delta = -v_small @ sigma @ dagger(v_small)
-        for a in small:
-            delta = delta + a @ sigma @ dagger(a)
-        return frob(delta)
-
-    worst = 0.0
-    for i in range(k):
-        for j in range(k):
-            sigma = np.zeros((k, k), dtype=complex)
-            sigma[i, j] = 1.0
-            worst = max(worst, deviation(sigma))
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        worst = max(worst, deviation(random_density(k, rng)))
-    return worst
+    units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)  # E_ij in row-major order
+    densities = np.reshape([random_density(k, rng) for _ in range(samples)], (samples, k, k))
+    sigmas = np.concatenate([units, densities])
+    delta = np.einsum("atk,skl,btl->sab", small, sigmas, small.conj(), optimize=True)
+    delta -= np.einsum("ak,skl,bl->sab", v_small, sigmas, v_small.conj(), optimize=True)
+    return float(np.max(np.linalg.norm(delta, axis=(1, 2)), initial=0.0))

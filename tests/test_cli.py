@@ -133,6 +133,19 @@ def test_no_generators_or_channel_exits_2(capsys, verb):
     assert json.loads(err) == {"error": "SchemaError", "message": "provide --channel or --generators"}
 
 
+@pytest.mark.parametrize("of", ["fix", "interaction-algebra"])
+def test_structure_of_channel_space_refuses_generators(tmp_path, capsys, of):
+    generators = write(tmp_path / "id4.json", [matrix_to_json(np.eye(4))])
+    code, out, err = run(capsys, ["structure", "--generators", generators, "--of", of])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "SchemaError",
+        "message": f"--of {of} needs --channel; a generator list has only a commutant",
+    }
+
+
 def readme_list(label):
     """The backquoted names after `label` in the README, up to the next period."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qchannel import linalg
-from qchannel.errors import NotHermitianError, NotPSDError, ShapeMismatchError
+from qchannel.errors import InvalidParameterError, NotHermitianError, NotPSDError, ShapeMismatchError
 from qchannel.linalg import (
     complete_isometry,
     dagger,
@@ -22,6 +22,7 @@ from qchannel.linalg import (
     orthonormal_columns,
     polar,
     psd_floor,
+    require_finite,
     spectral_support,
 )
 from qchannel.qcore import gate
@@ -201,6 +202,15 @@ def test_complete_isometry():
     w = complete_isometry(v)
     full = np.hstack([v, w])
     assert frob(dagger(full) @ full - np.eye(6)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [complex(1.0, np.nan), complex(np.inf, 0.0), complex(-np.inf, 2.0)])
+def test_require_finite_sees_either_part(bad):
+    a = np.eye(3, dtype=complex)
+    assert require_finite(a) is a
+    a[1, 2] = bad
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        require_finite(a, "probe")
 
 
 class TestTolerancePolicy:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,16 @@ from qchannel.errors import (
     NotTracePreservingError,
     UnknownCodeError,
 )
-from qchannel.linalg import dagger, frob, haar_random_unitary
-from qchannel.qcore import basis_state, embed_single, gate, ket
+from qchannel.linalg import (
+    complete_isometry,
+    dagger,
+    frob,
+    haar_random_unitary,
+    is_identity,
+    orthonormal_columns,
+    spectral_support,
+)
+from qchannel.qcore import basis_state, embed_single, gate, ket, random_density
 from qchannel.qec import (
     _sorted_eigh,
     build_recovery,
@@ -25,6 +35,10 @@ from qchannel.qec import (
 
 def xflip_errors():
     return [np.eye(8)] + [embed_single(gate("X"), k, 3) for k in (1, 2, 3)]
+
+
+def shor_paulis(qubit):
+    return [np.eye(512)] + [embed_single(gate(p), qubit, 9) for p in "XYZ"]
 
 
 def random_code_state(code, rng):
@@ -277,3 +291,106 @@ class TestRecovery:
         lossy = KrausChannel([0.5 * np.eye(8)])
         with pytest.raises(NotTracePreservingError):
             verify_recovery(lossy, rec, code)
+
+
+def eager_recovery(code, errors, lam, tol=1e-9):
+    """Reference: the recovery with every N x N syndrome projector and unitary
+    formed up front, one after the other; returns projectors, unitaries, the
+    Kraus list and the completion."""
+    n, v = code.ambient_dim, code.isometry
+    images = [e @ v for e in errors]
+    dvals, u = _sorted_eigh((lam + dagger(lam)) / 2.0)
+    projectors, unitaries, kraus = [], [], []
+    for idx in np.flatnonzero(spectral_support(dvals, tol, 1.0)):
+        fv = sum(u[i, idx] * images[i] for i in range(len(errors)))
+        c, _ = orthonormal_columns(list((fv / np.sqrt(float(dvals[idx]))).T))
+        q, _ = np.linalg.qr(np.hstack([v, c]))
+        a, b = dagger(q) @ v, dagger(q) @ c
+        rotation = b @ dagger(a) + complete_isometry(b) @ dagger(complete_isometry(a))
+        unitaries.append(np.eye(n) + q @ (rotation - np.eye(len(rotation))) @ dagger(q))
+        projectors.append(c @ dagger(c))
+        kraus.append(v @ dagger(c))
+    covered = sum(projectors, np.zeros((n, n), dtype=complex))
+    completion = None
+    if not is_identity(covered, tol):
+        leftover = np.eye(n) - covered
+        completion = (leftover + dagger(leftover)) / 2.0
+        kraus.append(completion)
+    return projectors, unitaries, kraus, completion
+
+
+def loop_deviation(channel, rec, code, seed=0, samples=20):
+    """Reference: verify_recovery one composite Kraus operator and one density
+    at a time, each R_j E_i V formed by its own product."""
+    v, k = code.isometry, code.code_dim
+    terms = [r @ (e @ v) for r in rec.channel.operators for e in channel.operators]
+    q, _ = np.linalg.qr(np.hstack(terms + [v]))
+    small = [dagger(q) @ t for t in terms]
+    v_small = dagger(q) @ v
+    units = []
+    for i in range(k):
+        for j in range(k):
+            sigma = np.zeros((k, k), dtype=complex)
+            sigma[i, j] = 1.0
+            units.append(sigma)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for sigma in units + [random_density(k, rng) for _ in range(samples)]:
+        delta = -v_small @ sigma @ dagger(v_small)
+        for a in small:
+            delta = delta + a @ sigma @ dagger(a)
+        worst = max(worst, frob(delta))
+    return worst
+
+
+FACTORED_CASES = {  # code, error list, and an error the list corrects
+    "repetition3-xflips": lambda: (builtin_code("repetition3"), xflip_errors(), embed_single(gate("X"), 2, 3)),
+    "shor9-qubit5-paulis": lambda: (
+        builtin_code("shor9"),
+        shor_paulis(5),
+        embed_single(haar_random_unitary(2, np.random.default_rng(3)), 5, 9),
+    ),
+}
+
+
+class TestFactoredRecovery:
+    @pytest.mark.parametrize("case", list(FACTORED_CASES))
+    def test_factors_reproduce_eager_matrices(self, case):
+        code, errs, _ = FACTORED_CASES[case]()
+        lam = correctability(code, errs).lambda_matrix
+        rec = build_recovery(code, errs, lam)
+        projectors, unitaries, kraus, completion = eager_recovery(code, errs, lam)
+        assert len(rec.syndromes) == len(rec.rotations) == len(projectors) == 4
+        for got, want in zip(rec.projectors, projectors, strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(rec.unitaries, unitaries, strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(rec.channel.operators, kraus, strict=True):
+            assert np.array_equal(got, want)
+        assert (rec.completion is None) == (completion is None)
+        if completion is not None:
+            assert np.array_equal(rec.completion, completion)
+
+    @pytest.mark.parametrize("case", list(FACTORED_CASES))
+    def test_batched_verification_matches_loop(self, case):
+        code, errs, error = FACTORED_CASES[case]()
+        rec = build_recovery(code, errs, correctability(code, errs).lambda_matrix)
+        channel = KrausChannel([np.sqrt(0.9) * np.eye(code.ambient_dim), np.sqrt(0.1) * error])
+        for seed, samples in ((0, 20), (7, 0)):
+            got = verify_recovery(channel, rec, code, seed=seed, samples=samples)
+            assert got <= 1e-9
+            assert abs(got - loop_deviation(channel, rec, code, seed, samples)) <= 1e-15
+
+    def test_build_recovery_holds_no_syndrome_matrices(self):
+        """Beside the five N x N Kraus operators, build_recovery holds only
+        the completion's temporaries; the eager construction peaks at about
+        16 N x N complex matrices."""
+        code, errs = builtin_code("shor9"), shor_paulis(5)
+        lam = correctability(code, errs).lambda_matrix
+        tracemalloc.start()
+        try:
+            build_recovery(code, errs, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 512**2 * 16
