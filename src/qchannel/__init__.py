@@ -9,7 +9,6 @@ from .algebra import (
     AlgebraStructure,
     NoiselessBlock,
     OperatorSpace,
-    adjoints_in_algebra,
     commutant,
     dead_subspace,
     fix_equals_commutant,

@@ -9,8 +9,11 @@ project whole stacks in batched products.  One resolver finds the block
 structure (+) I_m (x) M_n of the †-algebra generated by a list of matrices
 from random elements of it (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
 Appl. Math. 27, 2010); the interaction algebra, the commutant, the Wedderburn
-structure and the noiseless subsystems are all read off it.  Emitted bases
-and the one N^2 x N^2 superoperator (`fixed_point_set`) refuse above
+structure, the noiseless subsystems and the fixed-point set are all read off
+it.  The fixed-point set costs one (n_k n_l)^2 null space per pair of
+blocks, numerically, so Fix = commutant for a unital channel is checked block
+by block: each ker(Phi_kk - id) is C I and each kernel with k != l is 0.
+Emitted bases and the largest block map refuse above
 linalg.MAX_SUPEROPERATOR_BYTES.
 """
 
@@ -24,7 +27,7 @@ import numpy as np
 
 # bench/tracing.py wraps classify, null_space_basis and orthonormal_columns
 # under this module, so all three stay bound here.
-from .channels import KrausChannel, choi_matrix, classify  # noqa: F401
+from .channels import KrausChannel, classify  # noqa: F401
 from .errors import (
     DimensionMismatchError,
     NotAnAlgebraError,
@@ -107,57 +110,57 @@ def spaces_equal(a: OperatorSpace, b: OperatorSpace, tol: float = DEFAULT_TOL) -
     return bool(np.all(b.residual(a.basis) <= tol) and np.all(a.residual(b.basis) <= tol))
 
 
-def _new_directions(candidates: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the candidates' components outside
-    range(cols): two projections (CGS2), then a thin SVD that keeps singular
-    values above STRUCTURAL_TOL * max(1, largest candidate norm)."""
-    scale = max(1.0, float(np.max(np.linalg.norm(candidates, axis=0), initial=0.0)))
-    for _ in range(2):
-        candidates = candidates - cols @ (dagger(cols) @ candidates)
-    u, s, _ = np.linalg.svd(candidates, full_matrices=False)
-    return u[:, s > STRUCTURAL_TOL * scale]
-
-
-def _closure(seed_ops: Sequence[np.ndarray], n: int, include_adjoints: bool, include_identity: bool) -> OperatorSpace:
-    """Smallest multiplicatively closed subspace containing the seeds,
-    optionally seeded with adjoints and the identity.
-
-    Krylov rounds over generator words: span(words <= L) is span(words <= L-1)
-    plus S * span(words <= L-1) for the seed set S, so each round multiplies
-    only the fresh directions of the last round by the seeds, in one batched
-    matmul.  The dimension is capped by N^2, which bounds the iteration.
-    """
-    seeds = np.stack([np.asarray(e, dtype=complex) for e in seed_ops])
-    if include_adjoints:
-        seeds = np.concatenate([seeds, seeds.conj().transpose(0, 2, 1)])
-    if include_identity:
-        seeds = np.concatenate([np.eye(n, dtype=complex)[None], seeds])
-    cols = _new_directions(seeds.reshape(len(seeds), n * n).T, np.zeros((n * n, 0), dtype=complex))
-    # The orthonormal seed span: products of HS-unit matrices have HS norm <= 1.
-    gens = cols.T.reshape(-1, n, n)
-    fresh = cols
-    while fresh.shape[1] > 0 and cols.shape[1] < n * n:
-        words = gens[:, None] @ fresh.T.reshape(-1, n, n)[None]
-        fresh = _new_directions(words.reshape(-1, n * n).T, cols)
-        cols = np.hstack([cols, fresh])
-    return OperatorSpace(cols.T.reshape(-1, n, n))
-
-
-def channel_superoperator(ch: KrausChannel) -> np.ndarray:
-    """N^2 x N^2 matrix of the channel on row-major vectorized operators, the
-    Choi matrix reshuffled: S[(i, k), (j, l)] = C[(j, i), (l, k)].
-
-    Raises SizeLimitError above linalg.MAX_SUPEROPERATOR_BYTES."""
-    n = ch.dim
-    require_superoperator_size(16 * n**4, f"channel superoperator at dimension {n}")
-    return choi_matrix(ch).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
-
-
 def fixed_point_set(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """Kernel of (channel - identity) on vectorized operators."""
-    phi = channel_superoperator(ch)
-    cols = null_space_basis(phi - np.eye(ch.dim**2), tol, scale=1.0)
-    return OperatorSpace(cols.T.reshape(-1, ch.dim, ch.dim))
+    """Operators X with Phi(X) = X, read off the certified block structure of
+    the interaction algebra (Blume-Kohout, Ng, Poulin & Viola, Phys. Rev. A
+    82, 062306, 2010).
+
+    With W† E_i W = (+)_k I_{m_k} (x) e_i^(k), the channel acts on block
+    (k, l) of W† X W as id (x) Phi_kl, Phi_kl(Y) = sum_i e_i^(k) Y e_i^(l)†, so
+    Fix(Phi) = W ((+)_{k,l} M_{m_k x m_l} (x) ker(Phi_kl - id)) W†.  Each
+    kernel is the null space of one (n_k n_l)^2 matrix on row-major
+    vectorized Y, at tol with floor 1.  When no draw certifies a structure
+    (`_resolve`), the one block m = 1, n = N with W = I is used, whose kernel
+    is that of the whole N^2 x N^2 superoperator.  Raises SizeLimitError when
+    the largest block map, or then the d N^2 basis, would exceed
+    linalg.MAX_SUPEROPERATOR_BYTES.
+    """
+    n = ch.dim
+    try:
+        structure = _resolve(ch.operators, tol, 0)
+    except StructureResolutionError:
+        structure = AlgebraStructure([(1, n)], np.eye(n, dtype=complex), [0])
+    largest = max(n_block for _, n_block in structure.blocks)
+    require_superoperator_size(16 * largest**4, f"{largest**2} x {largest**2} fixed-point block map at dimension {n}")
+    # copies[k][:, alpha] is V_k,alpha: column alpha * n_k + i of block k holds its alpha-th copy.
+    w = structure.basis_change
+    copies = [
+        w[:, off : off + m_block * n_block].reshape(n, m_block, n_block)
+        for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets)
+    ]
+    kraus = np.array(ch.operators)
+    compressed = [dagger(v[:, 0]) @ kraus @ v[:, 0] for v in copies]
+    kernels = []
+    for vk, ek in zip(copies, compressed):
+        for vl, el in zip(copies, compressed):
+            size = ek.shape[1] * el.shape[1]
+            # Phi_kl[(a, c), (b, d)] = sum_i e_i^(k)[a, b] conj(e_i^(l)[c, d])
+            phi = np.tensordot(ek, el.conj(), axes=(0, 0)).transpose(0, 2, 1, 3).reshape(size, size)
+            phi.flat[:: size + 1] -= 1.0
+            ys = null_space_basis(phi, tol, scale=1.0)
+            kernels.append((vk, vl, ys.T.reshape(-1, ek.shape[1], el.shape[1])))
+    dim = sum(vk.shape[1] * vl.shape[1] * len(ys) for vk, vl, ys in kernels)
+    require_superoperator_size(16 * dim * n * n, f"{dim}-dimensional fixed-point basis at dimension {n}")
+    basis = np.empty((dim, n, n), dtype=complex)
+    start = 0
+    for vk, vl, ys in kernels:
+        left, right = vk.transpose(1, 0, 2), vl.transpose(1, 2, 0).conj()
+        count = len(left) * len(right) * len(ys)
+        # Element (alpha, beta, j) is V_k,alpha Y_j V_l,beta†.
+        out = basis[start : start + count].reshape(len(left), len(right), len(ys), n, n)
+        np.matmul((left[:, None] @ ys[None])[:, None], right[None, :, None], out=out)
+        start += count
+    return OperatorSpace(basis)
 
 
 class FixVsCommutant(NamedTuple):
@@ -167,21 +170,15 @@ class FixVsCommutant(NamedTuple):
 
 def fix_equals_commutant(ch: KrausChannel, tol: float = DEFAULT_TOL) -> FixVsCommutant:
     """Compare the fixed-point set against the noise commutant; the two agree
-    exactly for unital channels, and both facts are computed independently."""
+    exactly for unital channels.  Both are computed independently: the
+    commutant is W ((+) M_m (x) I_n) W† by the structure theorem, while each
+    ker(Phi_kl - id) of `fixed_point_set` is a numerical null space, so the
+    theorem is checked block by block (C I on k = l, 0 on k != l)."""
     if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("fixed-point comparison requires a trace-preserving channel")
     fix = fixed_point_set(ch, tol)
     comm = commutant(ch.operators, tol)
     return FixVsCommutant(spaces_equal(fix, comm, tol), ch.is_unital(tol))
-
-
-def adjoints_in_algebra(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
-    """Whether every adjoint Kraus operator already lies in the algebra
-    generated by the Kraus operators alone (no adjoints seeded)."""
-    if not ch.is_unital(tol):
-        raise NotUnitalError("adjoint-closure test is stated for unital channels")
-    a0 = _closure(ch.operators, ch.dim, include_adjoints=False, include_identity=False)
-    return bool(np.all(a0.contains(np.stack(ch.operators).conj().transpose(0, 2, 1), tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,13 @@ DEFAULT_TOL = 1e-9
 # meet ||V†V - I||_F < 5e-16 * d, far inside it, so `--tol` does not reach it.
 STRUCTURAL_TOL = 1e-10
 
-# Largest superoperator-sized array the package builds: a Choi matrix, a
-# channel superoperator or the commutant's constraint stack.  256 MiB holds an
+# Largest superoperator-sized array the package builds: a Choi matrix, a d N^2
+# operator-space basis, or one (n_k n_l)^2 block map of the fixed-point set
+# (N^2 x N^2 when the interaction algebra is all of M_N).  256 MiB holds an
 # N^2 x N^2 complex matrix up to N = 64.  The routines that build one hold a
-# few arrays of that size at once (fixed_point_set also holds the identity,
-# the difference and both SVD factors), so the limit sits well below the
-# memory of a small machine.  Larger requests raise SizeLimitError before
-# anything is allocated.
+# few arrays of that size at once (a block map's null space also holds its
+# SVD factors), so the limit sits well below the memory of a small machine.
+# Larger requests raise SizeLimitError before anything is allocated.
 MAX_SUPEROPERATOR_BYTES = 256 * 2**20
 
 
@@ -210,9 +210,9 @@ def null_space_basis(a, tol: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndar
 
     The rank is the spectral support of the singular values.  Callers that
     know the natural magnitude of the map can pass it as `scale`; it floors
-    the threshold so that a constraint matrix which is zero up to roundoff
-    (e.g. commutators of an abelian family) yields the full space instead of
-    treating its noise as rank.
+    the threshold so that a map which is zero up to roundoff (e.g. Phi - id
+    on a block where the channel acts as the identity) yields the full space
+    instead of treating its noise as rank.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     rows, cols = a.shape

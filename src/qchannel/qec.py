@@ -57,6 +57,8 @@ class QuantumCode:
         v = require_finite(np.asarray(isometry, dtype=complex), "code isometry")
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise DimensionMismatchError(f"isometry shape {v.shape} is not tall")
+        if v.shape[1] == 0:
+            raise DependentInputError("a code needs at least one basis column")
         if not is_identity(dagger(v) @ v, STRUCTURAL_TOL):
             raise DependentInputError("isometry columns are not orthonormal")
         self.isometry = v

@@ -6,8 +6,6 @@ import pytest
 
 from qchannel.algebra import (
     OperatorSpace,
-    adjoints_in_algebra,
-    channel_superoperator,
     commutant,
     dead_subspace,
     fix_equals_commutant,
@@ -33,9 +31,16 @@ from qchannel.channels import (
     random_unitary_channel,
     zz_dephasing,
 )
-from qchannel.errors import NotAnAlgebraError, NotTracePreservingError, NotUnitalError, SizeLimitError
+from qchannel.errors import (
+    NotAnAlgebraError,
+    NotTracePreservingError,
+    NotUnitalError,
+    SizeLimitError,
+    StructureResolutionError,
+)
 from qchannel.linalg import dagger, frob, haar_random_unitary, kron, kron_chain, require_superoperator_size
 from qchannel.qcore import basis_state, gate, pure_density, random_density
+from test_properties import _reference_fixed_points
 
 E00 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -148,24 +153,23 @@ class TestFixedPoints:
 
     def test_unital_commutant_is_fixed(self):
         for name, ch in unital_instances():
-            phi = channel_superoperator(ch)
-            for b in commutant(ch.operators).basis:
-                assert np.linalg.norm(phi @ b.reshape(-1) - b.reshape(-1)) <= 1e-8, name
+            reference = _reference_fixed_points(ch)
+            assert np.all(reference.residual(commutant(ch.operators).basis) <= 1e-8), name
 
-    def test_superoperator_is_the_kron_sum(self):
-        # The reshuffled Choi matrix holds the same products, summed in the
-        # same order, as sum_E kron(E, conj(E)).
-        instances = unital_instances() + [
-            ("amplitude_damping", amplitude_damping(0.5)),
-            ("dead_row", dead_row(3)),
-            ("collective_rotation4", collective_rotation(4)),
-        ]
-        for name, ch in instances:
-            reference = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
-            for e in ch.operators:
-                reference += kron(e, e.conj())
-            phi = channel_superoperator(ch)
-            assert phi.shape == reference.shape and phi.tobytes() == reference.tobytes(), name
+    @pytest.mark.parametrize("noise, tol", [(1e-7, 1e-6), (1e-10, 1e-9)])
+    def test_unresolved_channels_use_one_block(self, noise, tol):
+        # Noise about tol / 10 leaves no certified structure (the commutant
+        # refuses); Fix is then the kernel of the whole superoperator.
+        for ch, dim in ((collective_rotation(3), 5), (permutation_channel(2, 3), 20)):
+            rng = np.random.default_rng(1)
+            noisy = KrausChannel(
+                [e + noise * (rng.standard_normal(e.shape) + 1j * rng.standard_normal(e.shape)) for e in ch.operators]
+            )
+            with pytest.raises(StructureResolutionError):
+                commutant(noisy.operators, tol)
+            space = fixed_point_set(noisy, tol)
+            assert space.dim == dim
+            assert spaces_equal(space, _reference_fixed_points(noisy, tol), 1e-8)
 
 
 class TestOneArrayLayout:
@@ -217,18 +221,46 @@ class TestOneArrayLayout:
         assert space.dim == 576
         assert peak <= 4 * space.basis.nbytes
 
+    def test_fixed_points_in_block_coordinates(self):
+        # N = 64: the superoperator alone would be 256 MiB; the block maps
+        # are at most 49 x 49.
+        ch = collective_rotation(6)
+        tracemalloc.start()
+        try:
+            space = fixed_point_set(ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.dim == 132
+        assert peak <= 4 * space.basis.nbytes
+
 
 class TestSizeGuard:
     def test_superoperators_refused_before_allocating(self):
         ch = KrausChannel([np.eye(128)])
         tracemalloc.start()
         try:
-            for build in (choi_matrix, classify, channel_superoperator, fixed_point_set, fix_equals_commutant):
+            for build in (choi_matrix, classify, fixed_point_set, fix_equals_commutant):
                 with pytest.raises(SizeLimitError):
                     build(ch)
             # a scalar generator leaves all N^2 entries unknown
             with pytest.raises(SizeLimitError):
                 commutant(ch.operators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_generic_fixed_points_refused_at_the_block_map(self):
+        # A generic channel generates all of M_65: one 65^2 x 65^2 block map.
+        n = 65
+        rng = np.random.default_rng(0)
+        v, _ = np.linalg.qr(rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n)))
+        ch = KrausChannel([v[:n], v[n:]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="block map"):
+                fixed_point_set(ch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,21 +300,6 @@ class TestFixVsCommutant:
     def test_unitary_conjugation(self):
         u = haar_random_unitary(3, np.random.default_rng(2))
         assert fix_equals_commutant(KrausChannel([u])) == (True, True)
-
-
-class TestAdjointClosure:
-    def test_random_unitary_channel(self):
-        rng = np.random.default_rng(3)
-        ch = random_unitary_channel([0.7, 0.3], [haar_random_unitary(3, rng) for _ in range(2)])
-        assert adjoints_in_algebra(ch)
-
-    def test_self_adjoint_generators(self):
-        assert adjoints_in_algebra(phase_flip(0.3))
-        assert adjoints_in_algebra(zz_dephasing(0.3))
-
-    def test_requires_unital(self):
-        with pytest.raises(NotUnitalError):
-            adjoints_in_algebra(amplitude_damping(0.5))
 
 
 class TestWedderburn:

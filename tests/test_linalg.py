@@ -295,3 +295,33 @@ def test_tolerance_literals_live_in_linalg_constants():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def _unused_imports(source: str, name: str) -> list[str]:
+    """Names a module imports and never reads, skipping `from __future__`
+    and import lines marked `# noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{name}:{alias.lineno} {bound}")
+    return unused
+
+
+def test_package_imports_are_used():
+    """Every name a module of the package imports is read in that module,
+    unless its import line says `# noqa: F401`; `__init__.py` re-exports."""
+    package = Path(linalg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            found += _unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+    assert _unused_imports("import numpy as np\nfrom .linalg import dagger, frob\nfrob(np.eye(2))\n", "m.py") == [
+        "m.py:2 dagger"
+    ]

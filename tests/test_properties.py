@@ -1,5 +1,6 @@
 """Property tests for the completion kernels, Knill-Laflamme recovery, the
-JSON pair codec and the algebra layer (commutants, closures, Fix = commutant).
+JSON pair codec and the algebra layer (commutants, fixed points, Fix =
+commutant).
 
 Hypothesis draws the structure (sizes, ranks, error sets, qubit order) and a
 seed; numpy draws the numerical content from that seed.
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from qchannel.algebra import (
     OperatorSpace,
-    _closure,
     commutant,
     fix_equals_commutant,
+    fixed_point_set,
     interaction_algebra,
     spaces_equal,
     wedderburn_structure,
@@ -379,8 +380,9 @@ def test_dumps_matches_stdlib_json(report):
 
 
 # ---------------------------------------------------------------------------
-# Algebra layer: the block-coordinate commutant against the full Kronecker
-# stack it replaced, kept here as the reference.
+# Algebra layer: the block-coordinate commutant and fixed-point set against
+# the full Kronecker stack and superoperator they replaced, kept here as the
+# references.
 # ---------------------------------------------------------------------------
 
 
@@ -392,6 +394,15 @@ def _reference_commutant(generators, tol: float = 1e-9) -> OperatorSpace:
     scale = max(1.0, max(frob(g) for g in mats))
     cols = null_space_basis(np.vstack(rows), tol, scale=scale)
     return OperatorSpace([cols[:, j].reshape(n, n) for j in range(cols.shape[1])])
+
+
+def _reference_fixed_points(ch: KrausChannel, tol: float = 1e-9) -> OperatorSpace:
+    """Kernel of sum_E kron(E, conj(E)) - I, the channel on row-major
+    vectorized operators, at tol with floor 1."""
+    n = ch.dim
+    phi = sum(np.kron(e, e.conj()) for e in ch.operators)
+    cols = null_space_basis(phi - np.eye(n * n), tol, scale=1.0)
+    return OperatorSpace(cols.T.reshape(-1, n, n))
 
 
 @st.composite
@@ -433,7 +444,7 @@ def test_commutant_of_block_families(family):
     assert space.dim == sum(m * m for m, _ in blocks)
     assert sorted(wedderburn_structure(space).blocks) == sorted((n, m) for m, n in blocks)
     assert interaction_algebra(KrausChannel(gens)).dim == sum(n * n for _, n in blocks)
-    assert spaces_equal(interaction_algebra(KrausChannel(gens)), _closure(gens, len(gens[0]), True, True))
+    assert spaces_equal(interaction_algebra(KrausChannel(gens)), _reference_commutant(_reference_commutant(gens).basis))
 
 
 @settings(deadline=None, max_examples=30)
@@ -479,3 +490,30 @@ def test_fix_equals_commutant_for_random_unitary_channels(family, seed):
     unitaries, _ = family
     weights = np.random.default_rng(seed).dirichlet(np.ones(len(unitaries)))
     assert fix_equals_commutant(random_unitary_channel(weights, unitaries)) == (True, True)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.booleans(), st.data())
+def test_fixed_points_match_the_superoperator_kernel(unital, data):
+    # Haar families give random-unitary channels, which are unital.  Ginibre
+    # families are made trace preserving by E_i S^(-1/2) with S = sum E†E, an
+    # element of the algebra, so the blocks stay; unless every block is 1 x 1
+    # or there is one generator, they are not unital.
+    gens, _ = data.draw(block_families(unitary=unital))
+    if unital:
+        ch = random_unitary_channel(np.random.default_rng(data.draw(SEEDS)).dirichlet(np.ones(len(gens))), gens)
+    else:
+        vals, vecs = np.linalg.eigh(sum(dagger(g) @ g for g in gens))
+        ch = KrausChannel([g @ (vecs / np.sqrt(vals)) @ dagger(vecs) for g in gens])
+    assert spaces_equal(fixed_point_set(ch), _reference_fixed_points(ch), 1e-8)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 8), st.integers(1, 3), SEEDS)
+def test_fixed_points_of_generic_channels(n, count, seed):
+    # Kraus operators cut from a Stinespring isometry: the QR factor of a
+    # (count n) x n Ginibre draw.
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((count * n, n)) + 1j * rng.standard_normal((count * n, n)))
+    ch = KrausChannel([v[i * n : (i + 1) * n] for i in range(count)])
+    assert spaces_equal(fixed_point_set(ch), _reference_fixed_points(ch), 1e-8)

@@ -22,6 +22,7 @@ from qchannel.linalg import (
 )
 from qchannel.qcore import basis_state, embed_single, gate, ket, random_density
 from qchannel.qec import (
+    QuantumCode,
     _sorted_eigh,
     build_recovery,
     builtin_code,
@@ -73,6 +74,11 @@ class TestCodes:
     def test_dependent_kets_rejected(self):
         with pytest.raises(DependentInputError):
             make_code([ket("00"), ket("00")])
+
+    def test_empty_code_rejected(self):
+        # K = 0 would leave the Knill-Laflamme scalar 0 / 0.
+        with pytest.raises(DependentInputError):
+            QuantumCode(np.zeros((8, 0)))
 
     def test_unknown_builtin(self):
         with pytest.raises(UnknownCodeError):
