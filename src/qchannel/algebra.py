@@ -60,7 +60,8 @@ class OperatorSpace:
     """Subspace of N x N operators carried as a Hilbert-Schmidt-orthonormal
     basis: `basis` is one C-contiguous complex (d, N, N) array and `vecs` its
     (d, N^2) row view, one row-major vectorized element per row.  Membership
-    projects a whole (k, N, N) stack in batches of `_chunks`."""
+    projects a whole (k, N, N) stack in batches of `_chunks`.  The zero space
+    is a (0, N, N) array; a list must hold at least one matrix, which fixes N."""
 
     __slots__ = ("basis", "vecs", "ambient_dim")
 
@@ -69,11 +70,11 @@ class OperatorSpace:
             mats = np.ascontiguousarray(basis, dtype=complex)
         except ValueError:  # a ragged list
             mats = np.empty(0)
-        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1] != mats.shape[2]:
-            raise DimensionMismatchError("a basis is one or more matrices of one square shape")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] == 0:
+            raise DimensionMismatchError("a basis is a (d, N, N) array or one or more matrices of one square shape")
         self.basis = mats
-        self.vecs = mats.reshape(len(mats), -1)
         self.ambient_dim = int(mats.shape[1])
+        self.vecs = mats.reshape(len(mats), self.ambient_dim**2)
         if not is_identity(self.vecs.conj() @ self.vecs.T, STRUCTURAL_TOL):
             raise DimensionMismatchError("basis is not HS-orthonormal")
 
@@ -130,6 +131,13 @@ def fixed_point_set(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace
         structure = _resolve(ch.operators, tol, 0)
     except StructureResolutionError:
         structure = AlgebraStructure([(1, n)], np.eye(n, dtype=complex), [0])
+    return _fixed_points(ch, structure, tol)
+
+
+def _fixed_points(ch: KrausChannel, structure: AlgebraStructure, tol: float) -> OperatorSpace:
+    """`fixed_point_set` on a structure that certifies the interaction algebra
+    of ch (or the one block M_N)."""
+    n = ch.dim
     largest = max(n_block for _, n_block in structure.blocks)
     require_superoperator_size(16 * largest**4, f"{largest**2} x {largest**2} fixed-point block map at dimension {n}")
     # copies[k][:, alpha] is V_k,alpha: column alpha * n_k + i of block k holds its alpha-th copy.
@@ -170,14 +178,17 @@ class FixVsCommutant(NamedTuple):
 
 def fix_equals_commutant(ch: KrausChannel, tol: float = DEFAULT_TOL) -> FixVsCommutant:
     """Compare the fixed-point set against the noise commutant; the two agree
-    exactly for unital channels.  Both are computed independently: the
-    commutant is W ((+) M_m (x) I_n) W† by the structure theorem, while each
-    ker(Phi_kl - id) of `fixed_point_set` is a numerical null space, so the
-    theorem is checked block by block (C I on k = l, 0 on k != l)."""
+    exactly for unital channels.  Both are read off one resolved structure
+    of the interaction algebra (StructureResolutionError when no draw
+    certifies): the commutant is W ((+) M_m (x) I_n) W† by the structure
+    theorem, while each ker(Phi_kl - id) of `fixed_point_set` is a numerical
+    null space, so the theorem is checked block by block (C I on k = l, 0 on
+    k != l)."""
     if not ch.is_trace_preserving(tol):
         raise NotTracePreservingError("fixed-point comparison requires a trace-preserving channel")
-    fix = fixed_point_set(ch, tol)
-    comm = commutant(ch.operators, tol)
+    structure = _resolve(ch.operators, tol, 0)
+    fix = _fixed_points(ch, structure, tol)
+    comm = _commutant_span(structure)
     return FixVsCommutant(spaces_equal(fix, comm, tol), ch.is_unital(tol))
 
 
@@ -368,7 +379,12 @@ def commutant(generators: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Ope
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise DimensionMismatchError("generators must share one square shape")
-    return _pattern_span(_commutant_structure(_resolve(mats, tol, 0)), "commutant")
+    return _commutant_span(_resolve(mats, tol, 0))
+
+
+def _commutant_span(structure: AlgebraStructure) -> OperatorSpace:
+    """Basis of the commutant of the algebra with this structure."""
+    return _pattern_span(_commutant_structure(structure), "commutant")
 
 
 def _require_algebra(space: OperatorSpace, tol: float) -> None:

@@ -1,6 +1,8 @@
 """Oracle simulation and the constant-vs-balanced query algorithms.
 
-Oracles are dense truth tables turned into permutation unitaries; the
+Oracles are dense truth tables.  `oracle_unitary` turns one into its
+permutation unitary for the parallelism circuit; Deutsch-Jozsa applies the
+same permutation to the state by index and never forms the matrix.  The
 classifiers read the exact output distribution of the final measurement
 rather than sampling, so verdicts carry their certainty explicitly.
 """
@@ -111,8 +113,12 @@ def deutsch_jozsa(f: BooleanOracle) -> AlgorithmVerdict:
     # Right to left on the state, never forming a 2^(m+1)-square circuit:
     # (A x B) psi is A Psi B^T with Psi the 2^m x 2 reshape of psi, and H = H^T.
     state = basis_state(1, 2 ** (f.m + 1))
-    state = (hm @ state.reshape(-1, 2) @ gate("H")).reshape(-1)
-    final = hm @ (oracle_unitary(f) @ state).reshape(-1, 2)
+    state = hm @ state.reshape(-1, 2) @ gate("H")
+    # U_f as the index permutation (U_f psi)[x, z] = psi[x, z xor f(x)].  The
+    # dense product gives the same entries up to the sign of exact zeros,
+    # which |a|^2 + |b|^2 removes.
+    flips = np.array(f.table)[:, None] ^ np.arange(2)
+    final = hm @ np.take_along_axis(state, flips, axis=1)
     p_zeros = min(1.0, float(abs(final[0, 0]) ** 2 + abs(final[0, 1]) ** 2))
     if p_zeros >= 0.5:
         return AlgorithmVerdict("constant", p_zeros)

@@ -12,6 +12,7 @@ catalogue name is also accepted when no such file exists.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -59,8 +60,10 @@ def _split_builtin(ref: str, known: dict) -> tuple[str, dict] | None:
 
 
 def _load_json(path: str):
+    # Pair lists become arrays as the parser closes each Matrix or State, so at
+    # most one input matrix is held as Python lists at a time.
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=serialize.pairs_hook)
 
 
 def _resolve_channel(ref: str) -> channels.KrausChannel:
@@ -340,8 +343,10 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Paused GC: decoded inputs are millions of acyclic [re, im] lists it would rescan
-    # (reports hold their pair data as numpy arrays).
+    # Paused GC: the parser still allocates one input matrix's acyclic [re, im]
+    # lists at a time, millions over a large error list, and every collection
+    # those allocations trigger would rescan them (reports hold their pair data
+    # as numpy arrays).
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -358,22 +363,34 @@ def _check_args(args) -> None:
         raise InvalidParameterError(f"--seed must be non-negative, got {args.seed!r}")
 
 
+def _write_report(report: dict, out: str | None, quiet: bool) -> None:
+    """Stream the report's parts to --out (opened first, so a path that
+    cannot be written fails before anything reaches stdout) and to stdout."""
+    with contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(open(out, "w", encoding="utf-8")).write] if out else []
+        if not quiet:
+            writers.append(sys.stdout.write)
+
+        def write(part: str) -> None:
+            for w in writers:
+                w(part)
+
+        if writers:
+            serialize.emit(report, write)
+            write("\n")
+
+
 def _run(args) -> int:
     try:
         _check_args(args)
         paper_ref, _, handler = VERBS[args.verb]
-        text = serialize.dumps({"verb": args.verb, "paper_ref": paper_ref, **handler(args)})
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _write_report({"verb": args.verb, "paper_ref": paper_ref, **handler(args)}, args.out, args.quiet)
     except (InputError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 2
     except PreconditionError as exc:
         _emit_error(exc)
         return 3
-    if not args.quiet:
-        print(text)
     return 0
 
 

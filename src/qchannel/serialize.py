@@ -10,16 +10,24 @@ channels as {"dim": N, "kraus": [Matrix, ...]} or a builtin spec
 
 Each re and im may be a JSON integer or float.  Pair data is decoded
 bit-exactly, -0.0 included: well-formed pair lists go through one numpy
-array, and anything else is walked entry by entry to name the first bad
-pair.  NaN, infinities and integers too large for a double are rejected as
-not finite (a SchemaError, exit code 2 in the CLI).
+array (`_pair_array`), and anything else is walked entry by entry to name
+the first bad pair.  NaN, infinities and integers too large for a double
+are rejected as not finite (a SchemaError, exit code 2 in the CLI).
+
+The CLI parses files with `pairs_hook` as the `json.load` object_hook: a
+well-formed "data" or "amplitudes" list becomes its array as soon as the
+parser closes the object holding it, so only one matrix's Python lists are
+alive at a time.  Any other list is left for the decoders, which report it
+exactly as they report a plainly parsed document, and a later JSON syntax
+error still wins because the hook never raises.
 
 The `*_to_json` encoders keep pair data as numpy arrays: "data" and
 "amplitudes" hold the flat complex array (a view of the encoded array where
 numpy can give one), and the decoders accept such array leaves as well as
-pair lists.  Write these documents with `dumps`, which emits each array leaf
-as its [[re, im], ...] list.  Reports are dumped compactly with insertion
-order preserved, and floats use Python's shortest round-trip
+pair lists.  Write these documents with `dumps`, or stream them with
+`emit`, which hands the same text to a writer part by part; both write each
+array leaf as its [[re, im], ...] list.  Reports are dumped compactly with
+insertion order preserved, and floats use Python's shortest round-trip
 representation, so identical inputs always produce byte-identical output:
 exactly the text `json.dumps` gives for the same document with every array
 leaf replaced by its pair list.
@@ -50,19 +58,44 @@ def _is_finite(x) -> bool:
         return False
 
 
+def _pair_array(values) -> np.ndarray | None:
+    """The flat complex array of a well-formed pair list: one that numpy
+    reads as a finite (n, 2) array of floats, ints or bools.  None for
+    anything else; never raises."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged or nested entries
+        return None
+    if arr.dtype.kind not in "fiub" or arr.ndim != 2 or arr.shape[1] != 2:
+        return None
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        return None
+    # A view, not re + 1j*im: the sum would turn -0.0 real parts into +0.0.
+    return arr.view(complex).reshape(-1)
+
+
+def pairs_hook(obj: dict) -> dict:
+    """`json.load` object_hook: as the parser closes an object, a "data" or
+    "amplitudes" list that `_pair_array` accepts becomes its complex array,
+    so that list's Python tree is freed before the next object is parsed.
+    Every other value stays as parsed, for the decoders to check and report."""
+    for key in ("data", "amplitudes"):
+        values = obj.get(key)
+        if type(values) is list:
+            arr = _pair_array(values)
+            if arr is not None:
+                obj[key] = arr
+    return obj
+
+
 def _as_pair_list(values, what: str) -> np.ndarray:
     if isinstance(values, np.ndarray):
         return _as_pair_array(values, what)
     _require(isinstance(values, list), f"{what} must be a list")
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged or nested entries
-        arr = None
-    if arr is not None and arr.dtype.kind in "fiub" and arr.ndim == 2 and arr.shape[1] == 2:
-        arr = np.ascontiguousarray(arr, dtype=float)
-        if np.isfinite(arr).all():
-            # A view, not re + 1j*im: the sum would turn -0.0 real parts into +0.0.
-            return arr.view(complex).reshape(-1)
+    arr = _pair_array(values)
+    if arr is not None:
+        return arr
     # Anything else (ragged, non-numeric or non-finite entries, ints beyond
     # int64) is walked entry by entry, which also names the first bad pair.
     out = np.empty(len(values), dtype=complex)
@@ -240,31 +273,35 @@ def _dump_key(key) -> str:
     return _dump_value({key: 0})[1:-3]  # json's own rules for non-string keys
 
 
-def _emit(obj, out: list[str]) -> None:
+def emit(obj, write) -> None:
+    """Write the `dumps` text of obj part by part: one write(part) call per
+    array leaf, key, scalar and bracket, so the whole text is never held.  A
+    non-finite value raises ValueError when its part is reached, after the
+    parts before it have been written."""
     if isinstance(obj, np.ndarray):
-        out.append(_dump_pairs(obj))
+        write(_dump_pairs(obj))
     elif isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(("," if i else "") + _dump_key(key) + ":")
-            _emit(value, out)
-        out.append("}")
+            write(("," if i else "") + _dump_key(key) + ":")
+            emit(value, write)
+        write("}")
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, value in enumerate(obj):
             if i:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
+                write(",")
+            emit(value, write)
+        write("]")
     else:
-        out.append(_dump_value(obj))
+        write(_dump_value(obj))
 
 
 def dumps(report) -> str:
     """Compact, insertion-ordered JSON for reports: dicts, lists and tuples
     are walked, numpy arrays are written as [[re, im], ...] pair lists, and
     every other value goes to `json.dumps` (NaN and infinities raise
-    ValueError, as there)."""
+    ValueError, as there).  The join of the parts `emit` writes."""
     out: list[str] = []
-    _emit(report, out)
+    emit(report, out.append)
     return "".join(out)

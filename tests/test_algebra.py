@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qchannel import algebra
 from qchannel.algebra import (
     OperatorSpace,
     commutant,
@@ -32,6 +33,7 @@ from qchannel.channels import (
     zz_dephasing,
 )
 from qchannel.errors import (
+    DimensionMismatchError,
     NotAnAlgebraError,
     NotTracePreservingError,
     NotUnitalError,
@@ -175,6 +177,24 @@ class TestFixedPoints:
 class TestOneArrayLayout:
     """An operator space is one complex (d, N, N) array with a row view."""
 
+    def test_zero_space_is_a_zero_length_array(self):
+        zero = OperatorSpace(np.zeros((0, 3, 3)))
+        assert (zero.dim, zero.ambient_dim, zero.vecs.shape) == (0, 3, (0, 9))
+        assert zero.residual(np.eye(3)) == pytest.approx(math.sqrt(3))
+        assert not zero.contains(np.eye(3)) and zero.contains(np.zeros((3, 3)))
+        assert spaces_equal(zero, OperatorSpace(np.zeros((0, 3, 3))))
+        assert not spaces_equal(zero, OperatorSpace([np.eye(3) / math.sqrt(3)]))
+        with pytest.raises(NotAnAlgebraError):
+            wedderburn_structure(zero)
+        for bad in ([], np.zeros((0,)), np.zeros((2, 0, 0)), np.zeros((0, 2, 3))):
+            with pytest.raises(DimensionMismatchError):
+                OperatorSpace(bad)
+
+    def test_fixed_points_of_a_strict_contraction(self):
+        # Phi(X) = X / 4 fixes only 0.
+        space = fixed_point_set(KrausChannel([np.eye(2) / 2]))
+        assert space.dim == 0 and space.basis.shape == (0, 2, 2)
+
     def test_basis_is_one_array_and_vecs_a_view(self):
         spaces = {
             "commutant": commutant(collective_rotation(3).operators),
@@ -300,6 +320,31 @@ class TestFixVsCommutant:
     def test_unitary_conjugation(self):
         u = haar_random_unitary(3, np.random.default_rng(2))
         assert fix_equals_commutant(KrausChannel([u])) == (True, True)
+
+    def test_resolves_once(self, monkeypatch):
+        calls = []
+        resolve = algebra._resolve
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(algebra, "_resolve", counted)
+        for n in (3, 4):
+            calls.clear()
+            assert fix_equals_commutant(collective_rotation(n)) == (True, True)
+            assert len(calls) == 1
+
+    def test_unresolvable_channel_raises(self):
+        # 1e-7 noise at tol 1e-6 leaves no certified structure (see
+        # TestFixedPoints.test_unresolved_channels_use_one_block).
+        rng = np.random.default_rng(1)
+        noisy = KrausChannel(
+            [e + 1e-7 * (rng.standard_normal(e.shape) + 1j * rng.standard_normal(e.shape))
+             for e in collective_rotation(3).operators]
+        )
+        with pytest.raises(StructureResolutionError):
+            fix_equals_commutant(noisy, 1e-6)
 
 
 class TestWedderburn:

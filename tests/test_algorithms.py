@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qchannel.algorithms import (
     BooleanOracle,
     deutsch,
     deutsch_jozsa,
+    hadamard_layer,
     modular_adder,
     oracle_unitary,
     quantum_parallelism,
@@ -110,6 +112,33 @@ class TestDeutschJozsa:
             verdict = deutsch_jozsa(BooleanOracle(10, 1, (bit,) * 1024))
             assert verdict.verdict == "constant"
             assert 1.0 - 1e-10 <= verdict.probability <= 1.0
+
+    def test_matches_the_dense_oracle_circuit(self):
+        # The index permutation and the product with oracle_unitary differ at
+        # most in the sign of exact zeros, so the probabilities agree bit for bit.
+        rng = np.random.default_rng(3)
+        for m in range(1, 8):
+            for table in ([0] * 2**m, [1] * 2**m, rng.permutation([0, 1] * 2 ** (m - 1))):
+                f = BooleanOracle(m, 1, table)
+                hm = hadamard_layer(m)
+                state = (hm @ basis_state(1, 2 ** (m + 1)).reshape(-1, 2) @ gate("H")).reshape(-1)
+                final = hm @ (oracle_unitary(f) @ state).reshape(-1, 2)
+                p_zeros = min(1.0, float(abs(final[0, 0]) ** 2 + abs(final[0, 1]) ** 2))
+                verdict = deutsch_jozsa(f)
+                assert verdict.verdict == ("constant" if p_zeros >= 0.5 else "balanced")
+                assert verdict.probability == (p_zeros if p_zeros >= 0.5 else 1.0 - p_zeros)
+
+    def test_ten_bits_never_form_the_oracle(self):
+        # The 2^11-square oracle unitary alone is 64 MiB; the Hadamard layer is 16.
+        f = BooleanOracle(10, 1, [0, 1] * 512)
+        tracemalloc.start()
+        try:
+            verdict = deutsch_jozsa(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.verdict == "balanced"
+        assert peak < 32 * 2**20
 
     def test_reduces_to_deutsch(self):
         for table, oracle in all_single_bit_oracles().items():

@@ -1,13 +1,14 @@
 import gc
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qchannel.channels import BUILTIN_CHANNELS, collective_rotation
-from qchannel.cli import VERBS, main
+from qchannel.cli import VERBS, _load_json, main
 from qchannel.qec import BUILTIN_CODES
 from qchannel.qcore import embed_single, gate
 from qchannel.serialize import dumps, matrix_from_json, matrix_to_json
@@ -341,3 +342,85 @@ def test_negative_seed_exits_2(tmp_path, capsys, verb):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "InvalidParameterError", "message": "--seed must be non-negative, got -1"}
+
+
+def test_zero_fixed_point_space(tmp_path, capsys):
+    # One Kraus operator I/2: Phi(X) = X/4, so Fix = {0}.
+    half = write(tmp_path / "half.json", {"dim": 2, "kraus": [matrix_to_json(np.eye(2) / 2)]})
+    code, out, _ = run(capsys, ["fix", "--channel", half])
+    assert code == 0
+    assert json.loads(out) == {
+        "verb": "fix", "paper_ref": "channel_fixed_points", "ambient_dim": 2, "dimension": 0, "basis": []
+    }
+    code, out, err = run(capsys, ["structure", "--channel", half, "--of", "fix"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "NotAnAlgebraError", "message": "space does not contain the identity"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recovery", "--code", "repetition3"],
+        ["structure", "--channel", "builtin:collective_rotation?n=3"],
+        ["adder", "--bits", "2"],
+        ["deutsch", "--oracle", "missing.json"],
+    ],
+)
+def test_stdout_and_out_file_bytes_agree(tmp_path, capsys, argv):
+    if argv[0] == "recovery":
+        argv = argv + ["--errors", xflips_file(tmp_path)]
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    if code:
+        assert out == "" and not target.exists()
+        return
+    assert err == ""
+    assert target.read_bytes() == out.encode()
+    assert out == dumps(json.loads(out)) + "\n"
+    code, quiet_out, _ = run(capsys, argv + ["--out", str(target), "--quiet"])
+    assert code == 0 and quiet_out == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_loading_an_error_list_holds_one_matrix_tree(tmp_path):
+    # Eight mostly-zero 64 x 64 matrices: json.load alone holds all eight
+    # [re, im] trees (8.6 trees with the text).  Decoding each matrix as the
+    # parser closes it leaves one tree plus the file text and the eight
+    # arrays, each about one tree again (2.7 trees in all).
+    rng = np.random.default_rng(0)
+    docs = [matrix_to_json(np.diag(rng.standard_normal(64))) for _ in range(8)]
+    path = write(tmp_path / "errors.json", docs)
+    one = dumps(docs[0])
+    tracemalloc.start()
+    try:
+        json.loads(one)
+        tree = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = _load_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [np.array_equal(matrix_from_json(d), matrix_from_json(x)) for d, x in zip(docs, loaded)] == [True] * 8
+    assert peak < 4 * tree
+
+
+def test_writing_a_report_holds_less_than_its_text(tmp_path, monkeypatch):
+    # Sixteen dense 64 x 64 leaves, built before tracing starts: the report is
+    # streamed one leaf's text at a time, never joined (the joined text, its
+    # parts and a copy with the newline would be 3x the report).
+    rng = np.random.default_rng(1)
+    fields = {"matrices": [matrix_to_json(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+                           for _ in range(16)]}
+    monkeypatch.setitem(VERBS, "dense-report", ("test_report", {}, lambda args: fields))
+    target = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code = main(["dense-report", "--out", str(target), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = target.read_text()
+    assert text == dumps({"verb": "dense-report", "paper_ref": "test_report", **fields}) + "\n"
+    assert peak < len(text)

@@ -36,7 +36,19 @@ from qchannel.linalg import (
 )
 from qchannel.qcore import gate
 from qchannel.qec import QuantumCode, _sorted_eigh, build_recovery, correctability, verify_recovery
-from qchannel.serialize import dumps, matrix_from_json, matrix_to_json, state_from_json, state_to_json
+from qchannel.serialize import (
+    channel_from_json,
+    choi_from_json,
+    code_from_json,
+    dumps,
+    matrix_from_json,
+    matrix_list_from_json,
+    matrix_to_json,
+    oracle_from_json,
+    pairs_hook,
+    state_from_json,
+    state_to_json,
+)
 
 PAULIS = [np.eye(2, dtype=complex), gate("X"), gate("Y"), gate("Z")]
 SEEDS = st.integers(0, 2**32 - 1)
@@ -303,6 +315,67 @@ def test_decoders_match_per_entry_reference(values):
     cols = len(values) if isinstance(values, list) and values else 1
     _same_outcome(matrix_from_json, {"rows": 1, "cols": cols, "data": values}, lambda: _reference_matrix(values))
     _same_outcome(state_from_json, {"dim": cols, "amplitudes": values}, lambda: _reference_state(values))
+
+
+def _matrix_doc(values):
+    return {"rows": 1, "cols": len(values) if isinstance(values, list) and values else 1, "data": values}
+
+
+def _state_doc(values):
+    return {"dim": len(values) if isinstance(values, list) and values else 1, "amplitudes": values}
+
+
+# Each decoder with a document around one drawn pair list: in its own Matrix
+# or State, or under a "data" or "amplitudes" key the decoder never reads.
+DOCUMENTS = [
+    (matrix_from_json, _matrix_doc),
+    (state_from_json, _state_doc),
+    (matrix_list_from_json, lambda v: [_matrix_doc([[1, 0]]), _matrix_doc(v)]),
+    (channel_from_json, lambda v: {"dim": 1, "kraus": [_matrix_doc(v)]}),
+    (channel_from_json, lambda v: {"dim": 1, "kraus": [_matrix_doc([[1, 0]])], "data": v}),
+    (channel_from_json, lambda v: {"builtin": "random_unitary", "params": {"unitaries": [_matrix_doc(v)]}}),
+    (channel_from_json, lambda v: {"builtin": "bit_flip", "params": {"p": 0.5, "data": v}}),
+    (channel_from_json, lambda v: {"builtin": "bit_flip", "params": {"p": {"data": v}}}),
+    (code_from_json, lambda v: {"ambient_dim": 1, "basis": [_state_doc(v)]}),
+    (oracle_from_json, lambda v: {"m": 1, "k": 1, "table": [0, 1], "data": v, "amplitudes": v}),
+    (choi_from_json, lambda v: {"block_dim": 1, "matrix": _matrix_doc(v)}),
+    (choi_from_json, lambda v: {"block_dim": 1, "matrix": {"rows": 1, "cols": 1, "data": [[1, 0]], "amplitudes": v}}),
+]
+
+
+def _decoded(value):
+    """What a decoder returned, as comparable bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_decoded(v) for v in value]
+    if hasattr(value, "operators"):
+        return _decoded(np.array(value.operators)), value.trace_preserving
+    if hasattr(value, "isometry"):
+        return _decoded(value.isometry)
+    return value
+
+
+def _outcome(decode, load):
+    try:
+        return _decoded(decode(load()))
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+
+
+# Channel checks on entries near 1e308 overflow alike on both sides.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(pair_lists(), st.sampled_from(range(len(DOCUMENTS))), st.booleans())
+def test_hook_loaded_documents_decode_like_plain_ones(values, which, broken):
+    decode, document = DOCUMENTS[which]
+    text = json.dumps(document(values))
+    if broken:  # a syntax error after the whole document has been parsed
+        text = "[" + text + ",]"
+    with_hook = _outcome(decode, lambda: json.loads(text, object_hook=pairs_hook))
+    assert with_hook == _outcome(decode, lambda: json.loads(text))
+    if broken:
+        assert with_hook[0] == "JSONDecodeError"
 
 
 @settings(deadline=None, max_examples=200)
