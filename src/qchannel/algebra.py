@@ -13,8 +13,9 @@ structure, the noiseless subsystems and the fixed-point set are all read off
 it.  The fixed-point set costs one (n_k n_l)^2 null space per pair of
 blocks, numerically, so Fix = commutant for a unital channel is checked block
 by block: each ker(Phi_kk - id) is C I and each kernel with k != l is 0.
-Emitted bases and the largest block map refuse above
-linalg.MAX_SUPEROPERATOR_BYTES.
+Emitted bases are certified orthonormal through their factors (W† W and the
+block kernels' Gram matrices), not a d x d Gram matrix; they and the largest
+block map refuse above linalg.MAX_SUPEROPERATOR_BYTES.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .linalg import (
     kron,
     null_space_basis,
     orthonormal_columns,  # noqa: F401
+    require_finite,
     require_superoperator_size,
     spectral_support,
 )
@@ -61,7 +63,13 @@ class OperatorSpace:
     basis: `basis` is one C-contiguous complex (d, N, N) array and `vecs` its
     (d, N^2) row view, one row-major vectorized element per row.  Membership
     projects a whole (k, N, N) stack in batches of `_chunks`.  The zero space
-    is a (0, N, N) array; a list must hold at least one matrix, which fixes N."""
+    is a (0, N, N) array; a list must hold at least one matrix, which fixes N.
+
+    A caller's basis is checked through its d x d Gram matrix,
+    ||V V† - I||_F <= STRUCTURAL_TOL * d.  The spaces this module emits from
+    a block structure are certified through their factors instead
+    (`_certify_factors`), which implies the same rule without forming the
+    Gram matrix, and are built by `_certified`."""
 
     __slots__ = ("basis", "vecs", "ambient_dim")
 
@@ -72,11 +80,22 @@ class OperatorSpace:
             mats = np.empty(0)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] == 0:
             raise DimensionMismatchError("a basis is a (d, N, N) array or one or more matrices of one square shape")
+        self._hold(mats)
+        if not is_identity(self.vecs.conj() @ self.vecs.T, STRUCTURAL_TOL):
+            raise DimensionMismatchError("basis is not HS-orthonormal")
+
+    @classmethod
+    def _certified(cls, basis: np.ndarray) -> OperatorSpace:
+        """Space of a C-contiguous complex (d, N, N) basis whose orthonormality
+        `_certify_factors` has already established."""
+        space = cls.__new__(cls)
+        space._hold(basis)
+        return space
+
+    def _hold(self, mats: np.ndarray) -> None:
         self.basis = mats
         self.ambient_dim = int(mats.shape[1])
         self.vecs = mats.reshape(len(mats), self.ambient_dim**2)
-        if not is_identity(self.vecs.conj() @ self.vecs.T, STRUCTURAL_TOL):
-            raise DimensionMismatchError("basis is not HS-orthonormal")
 
     @property
     def dim(self) -> int:
@@ -111,6 +130,41 @@ def spaces_equal(a: OperatorSpace, b: OperatorSpace, tol: float = DEFAULT_TOL) -
     return bool(np.all(b.residual(a.basis) <= tol) and np.all(a.residual(b.basis) <= tol))
 
 
+def _certify_factors(w: np.ndarray, dim: int, eta: float = 0.0) -> None:
+    """Factor rule: raise DimensionMismatchError unless a dim-dimensional basis
+    emitted as V = (W (x) conj W) T meets the Gram rule of `OperatorSpace`.
+
+    T embeds the block kernels Y (the exact isometry of the pattern units
+    I_m (x) E_ij / sqrt(m) for `_pattern_span`, eta = 0), so T† T is block
+    diagonal with copies of each small Gram matrix Y† Y and
+    eta = ||T† T - I||_F.  The Gram matrix is G = T† (P (x) conj P) T with
+    P = W† W = I + E, eps = ||E||_F, and P (x) conj P - I =
+    E (x) I + I (x) conj E + E (x) conj E, so with rho = min(N, dim)
+
+        ||G - I||_F <= (1 + eta) (2 sqrt(rho) eps + eps^2) + eta
+
+    (each linear term is at most ||T||_2 ||E||_2 ||T||_F and at most
+    ||T||_2^2 sqrt(N) eps; for pattern spans this is 2 sqrt(N) eps + eps^2 or
+    less).  The rule holds the bound to half of STRUCTURAL_TOL * dim, i.e.
+    eps <= b / (sqrt(rho) + sqrt(rho + b)) with
+    b = (STRUCTURAL_TOL * dim / 2 - eta) / (1 + eta); the other half is
+    headroom for rounding in the emitted entries.  Passing it therefore
+    implies ||V V† - I||_F <= STRUCTURAL_TOL * dim.  Costs one N x N product.
+    """
+    if dim == 0:
+        return
+    n = len(w)
+    p = w.conj().T @ w
+    p.flat[:: n + 1] -= 1.0
+    eps = float(np.sqrt(np.vdot(p, p).real))
+    rho = min(n, dim)
+    budget = (STRUCTURAL_TOL * dim / 2 - eta) / (1 + eta)
+    if not (budget >= 0 and eps <= budget / (np.sqrt(rho) + np.sqrt(rho + budget))):
+        raise DimensionMismatchError(
+            f"basis factors are not orthonormal within the factor rule (||W†W - I||_F = {eps:.3g}, kernels {eta:.3g})"
+        )
+
+
 def fixed_point_set(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """Operators X with Phi(X) = X, read off the certified block structure of
     the interaction algebra (Blume-Kohout, Ng, Poulin & Viola, Phys. Rev. A
@@ -124,7 +178,9 @@ def fixed_point_set(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace
     (`_resolve`), the one block m = 1, n = N with W = I is used, whose kernel
     is that of the whole N^2 x N^2 superoperator.  Raises SizeLimitError when
     the largest block map, or then the d N^2 basis, would exceed
-    linalg.MAX_SUPEROPERATOR_BYTES.
+    linalg.MAX_SUPEROPERATOR_BYTES.  The basis is certified through W† W and
+    the small Gram matrix of each kernel (`_certify_factors`), not through
+    its d x d Gram matrix.
     """
     n = ch.dim
     try:
@@ -149,6 +205,8 @@ def _fixed_points(ch: KrausChannel, structure: AlgebraStructure, tol: float) -> 
     kraus = np.array(ch.operators)
     compressed = [dagger(v[:, 0]) @ kraus @ v[:, 0] for v in copies]
     kernels = []
+    # The basis is (W (x) conj W) T, where T holds m_k m_l copies of each kernel Y_kl.
+    eta_sq = 0.0
     for vk, ek in zip(copies, compressed):
         for vl, el in zip(copies, compressed):
             size = ek.shape[1] * el.shape[1]
@@ -156,9 +214,14 @@ def _fixed_points(ch: KrausChannel, structure: AlgebraStructure, tol: float) -> 
             phi = np.tensordot(ek, el.conj(), axes=(0, 0)).transpose(0, 2, 1, 3).reshape(size, size)
             phi.flat[:: size + 1] -= 1.0
             ys = null_space_basis(phi, tol, scale=1.0)
+            if ys.shape[1]:
+                gram = ys.conj().T @ ys
+                gram.flat[:: len(gram) + 1] -= 1.0
+                eta_sq += vk.shape[1] * vl.shape[1] * np.vdot(gram, gram).real
             kernels.append((vk, vl, ys.T.reshape(-1, ek.shape[1], el.shape[1])))
     dim = sum(vk.shape[1] * vl.shape[1] * len(ys) for vk, vl, ys in kernels)
     require_superoperator_size(16 * dim * n * n, f"{dim}-dimensional fixed-point basis at dimension {n}")
+    _certify_factors(w, dim, float(np.sqrt(eta_sq)))
     basis = np.empty((dim, n, n), dtype=complex)
     start = 0
     for vk, vl, ys in kernels:
@@ -168,7 +231,7 @@ def _fixed_points(ch: KrausChannel, structure: AlgebraStructure, tol: float) -> 
         out = basis[start : start + count].reshape(len(left), len(right), len(ys), n, n)
         np.matmul((left[:, None] @ ys[None])[:, None], right[None, :, None], out=out)
         start += count
-    return OperatorSpace(basis)
+    return OperatorSpace._certified(basis)
 
 
 class FixVsCommutant(NamedTuple):
@@ -214,12 +277,13 @@ def _cluster_starts(vals: np.ndarray, gap: float) -> np.ndarray:
     return np.concatenate([[0], np.flatnonzero(np.diff(vals) > gap) + 1])
 
 
-def _assemble(raw: list[tuple[int, int, np.ndarray]]) -> AlgebraStructure:
-    """Structure from (m, n, columns) blocks, sorted by (n, m) descending."""
+def _assemble(raw: list[tuple[int, int, np.ndarray]], w: np.ndarray) -> AlgebraStructure:
+    """Structure from (m, n, column indices into w) blocks, sorted by (n, m)
+    descending; the basis change is one gather of the columns of w."""
     order = sorted(range(len(raw)), key=lambda i: (-raw[i][1], -raw[i][0], i))
     blocks = [(raw[i][0], raw[i][1]) for i in order]
     offsets = list(accumulate((m * n for m, n in blocks[:-1]), initial=0))
-    return AlgebraStructure(blocks, np.hstack([raw[i][2] for i in order]), offsets)
+    return AlgebraStructure(blocks, w[:, np.concatenate([raw[i][2] for i in order])], offsets)
 
 
 def _draw_structure(gens: np.ndarray, cut: float, degree: int, rng: np.random.Generator) -> AlgebraStructure | None:
@@ -237,10 +301,15 @@ def _draw_structure(gens: np.ndarray, cut: float, degree: int, rng: np.random.Ge
     a child cluster is aligned to its parent by the polar factor of
     M = K_{child, parent} A_parent (M sqrt(m) / ||M||_F when M is a multiple
     of a unitary, as within one block), so tree blocks of K become scalars.
+    Since polar(K A) = polar(K) A for unitary A, the polar factors of all
+    tree edges of a component come from one batched SVD; the aligned
+    columns are one product W A with A block diagonal, gathered into blocks.
     """
     k, n = gens.shape[0], gens.shape[1]
     c = rng.standard_normal((2, degree + 1, k)) + 1j * rng.standard_normal((2, degree + 1, k))
-    rand = np.tensordot(c[0], gens, axes=1) + np.tensordot(c[1], gens, axes=1).conj().transpose(0, 2, 1)
+    flat = gens.reshape(k, n * n)
+    rand = (c[0] @ flat).reshape(-1, n, n)
+    rand += (c[1] @ flat).reshape(-1, n, n).conj().transpose(0, 2, 1)
     r = rng.standard_normal((2, k))
     h = np.zeros((n, n), dtype=complex)
     word = np.eye(n)
@@ -253,7 +322,7 @@ def _draw_structure(gens: np.ndarray, cut: float, degree: int, rng: np.random.Ge
     for part in _chunks(k, n):
         g = gens[part]
         gt = g.conj().transpose(0, 2, 1)
-        h += np.tensordot(r[0, part], gt @ g, axes=1) + np.tensordot(r[1, part], g @ gt, axes=1)
+        h += (r[0, part] @ (gt @ g).reshape(len(g), -1) + r[1, part] @ (g @ gt).reshape(len(g), -1)).reshape(n, n)
     vals, w = np.linalg.eigh(h)
     # Gaps relative to ||H||, not to the spread: a scalar H plus rounding
     # noise must stay one cluster.
@@ -285,22 +354,26 @@ def _draw_structure(gens: np.ndarray, cut: float, degree: int, rng: np.random.Ge
         parent[closer] = j
 
     raw = []
-    align: dict[int, np.ndarray] = {}
+    align = np.zeros((n, n), dtype=complex)  # block diagonal: A_j on the span of cluster j
     for comp in components:
         m = int(sizes[comp[0]])
         if any(sizes[j] != m for j in comp):
             return None
-        span = {j: slice(starts[j], starts[j] + m) for j in comp}
-        for j in comp:
-            if parent[j] < 0:
-                align[j] = np.eye(m)
-            else:
-                u, _, vh = np.linalg.svd(kw[span[j], span[parent[j]]] @ align[parent[j]])
-                align[j] = u @ vh
+        rows = starts[comp][:, None] + np.arange(m)  # rows[t] indexes cluster comp[t]
+        spans = [slice(starts[j], starts[j] + m) for j in comp]
+        align[spans[0], spans[0]] = np.eye(m)
+        if len(comp) > 1:
+            # polar(K_jp A_p) = polar(K_jp) A_p for unitary A_p: one batched SVD
+            # of the tree edges, composed in Prim order (parents come first).
+            pos = {j: t for t, j in enumerate(comp)}
+            up = [pos[parent[j]] for j in comp[1:]]
+            u, _, vh = np.linalg.svd(kw[rows[1:, :, None], rows[up][:, None, :]])
+            polars = u @ vh
+            for t, p in enumerate(up, start=1):
+                align[spans[t], spans[t]] = polars[t - 1] @ align[spans[p], spans[p]]
         # Column alpha * n + i holds the alpha-th aligned vector of cluster i.
-        block = np.stack([w[:, span[j]] @ align[j] for j in comp], axis=2)
-        raw.append((m, len(comp), block.reshape(n, m * len(comp))))
-    return _assemble(raw)
+        raw.append((m, len(comp), rows.T.ravel()))
+    return _assemble(raw, w @ align)
 
 
 def _resolve(generators: Sequence[np.ndarray], tol: float, seed: int) -> AlgebraStructure:
@@ -328,30 +401,36 @@ def _resolve(generators: Sequence[np.ndarray], tol: float, seed: int) -> Algebra
 def _commutant_structure(structure: AlgebraStructure) -> AlgebraStructure:
     """Structure of the commutant (+) M_m (x) I_n of (+) I_m (x) M_n: the same
     columns, re-indexed within each block so that it reads (+) I_n (x) M_m."""
-    n = structure.basis_change.shape[0]
     raw = []
     for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
-        cols = structure.basis_change[:, off : off + m_block * n_block]
-        raw.append((n_block, m_block, cols.reshape(n, m_block, n_block).transpose(0, 2, 1).reshape(n, -1)))
-    return _assemble(raw)
+        # column i * m + alpha of the commutant's block is column alpha * n + i
+        raw.append((n_block, m_block, off + (np.arange(m_block) * n_block + np.arange(n_block)[:, None]).ravel()))
+    return _assemble(raw, structure.basis_change)
 
 
 def _pattern_span(structure: AlgebraStructure, what: str) -> OperatorSpace:
     """HS-orthonormal basis W (I_m (x) E_ij) W† / sqrt(m) of the algebra with
-    this structure.  Raises SizeLimitError when the d N^2 basis would exceed
+    this structure.  Element (i, j) of a block is V_i V_j†, where the N x m
+    matrix V_i holds the i-th column of each of the m copies; each block is
+    one batched product.  Orthonormality is certified through the N x N
+    product W† W (`_certify_factors`: ||G - I||_F <= 2 sqrt(N) eps + eps^2
+    with eps = ||W† W - I||_F), not through the d x d Gram matrix G.  Raises
+    SizeLimitError when the d N^2 basis would exceed
     linalg.MAX_SUPEROPERATOR_BYTES."""
     w = structure.basis_change
     n = w.shape[0]
     dim = sum(n_block * n_block for _, n_block in structure.blocks)
     require_superoperator_size(16 * dim * n * n, f"{dim}-dimensional {what} basis at dimension {n}")
+    _certify_factors(w, dim)
     basis = np.empty((dim, n, n), dtype=complex)
     start = 0
     for (m_block, n_block), off in zip(structure.blocks, structure.block_offsets):
-        # m^(-1/4) on both factors gives the 1/sqrt(m) normalisation.
-        v = w[:, off : off + m_block * n_block].reshape(n, m_block, n_block) / m_block**0.25
-        np.einsum("xai,yaj->ijxy", v, v.conj(), out=basis[start : start + n_block**2].reshape(n_block, n_block, n, n))
+        # v[i] = V_i; m^(-1/4) on both factors gives the 1/sqrt(m) normalisation.
+        v = w[:, off : off + m_block * n_block].reshape(n, m_block, n_block).transpose(2, 0, 1) / m_block**0.25
+        out = basis[start : start + n_block**2].reshape(n_block, n_block, n, n)
+        np.matmul(v[:, None], v.conj().transpose(0, 2, 1)[None], out=out)
         start += n_block**2
-    return OperatorSpace(basis)
+    return OperatorSpace._certified(basis)
 
 
 def interaction_algebra(ch: KrausChannel, tol: float = DEFAULT_TOL) -> OperatorSpace:
@@ -370,10 +449,10 @@ def commutant(generators: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Ope
     generators is W (+) (M_m (x) I_n) W†, emitted directly from the certified
     block structure (`_resolve`; tol reaches its certificate).  Raises
     SizeLimitError when the d N^2 basis would exceed
-    linalg.MAX_SUPEROPERATOR_BYTES, and StructureResolutionError when no
-    draw certifies.
+    linalg.MAX_SUPEROPERATOR_BYTES, StructureResolutionError when no draw
+    certifies, and InvalidParameterError on a non-finite generator.
     """
-    mats = [np.asarray(g, dtype=complex) for g in generators]
+    mats = [require_finite(g, "generator") for g in generators]
     if not mats:
         raise DimensionMismatchError("need at least one generator")
     n = mats[0].shape[0]

@@ -25,6 +25,9 @@ four shared rules are implemented once each, here:
     random-unitary inputs, weight/ket sum U†U (identity), |sum - 1|        DEFAULT_TOL
     code and operator-space bases,        V†V (identity), own, psd_floor   STRUCTURAL_TOL
       normalisations, orthonormalisation
+    operator-space bases emitted from a   eps = ||W†W - I||_F, eta from    eps <= b / (sqrt(rho) + sqrt(rho + b)),
+      block structure (factor rule,         the kernels' Y†Y - I; bounds     b = (STRUCTURAL_TOL * d / 2 - eta)
+      algebra._certify_factors)             ||G - I||_F (identity rule)      / (1 + eta), rho = min(N, d)
 """
 
 from __future__ import annotations

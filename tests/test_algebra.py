@@ -34,6 +34,7 @@ from qchannel.channels import (
 )
 from qchannel.errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NotAnAlgebraError,
     NotTracePreservingError,
     NotUnitalError,
@@ -129,6 +130,13 @@ class TestCommutant:
         assert commutant(gens).dim == 2
         assert interaction_algebra(KrausChannel(gens)).dim == 32
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generators_refused(self, bad):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            commutant([np.array([[bad, 0], [0, 1]])])
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            commutant([np.eye(2), np.array([[1, 0], [0, 1j * bad]])])
+
     def test_output_commutes(self):
         for name, ch in unital_instances():
             space = commutant(ch.operators)
@@ -190,6 +198,25 @@ class TestOneArrayLayout:
             with pytest.raises(DimensionMismatchError):
                 OperatorSpace(bad)
 
+    def test_caller_bases_keep_the_gram_check(self):
+        with pytest.raises(DimensionMismatchError, match="HS-orthonormal"):
+            OperatorSpace([np.eye(2), gate("X")])  # orthogonal, norm sqrt(2) each
+        with pytest.raises(DimensionMismatchError, match="HS-orthonormal"):
+            OperatorSpace([E00, (E00 + np.diag([0.0, 1.0])) / math.sqrt(2)])  # unit norm, not orthogonal
+        with pytest.raises(DimensionMismatchError, match="HS-orthonormal"):
+            OperatorSpace([np.array([[np.nan, 0], [0, 0]])])
+        assert OperatorSpace([E00, np.diag([0.0, 1.0])]).dim == 2
+
+    def test_fixed_points_refuse_a_non_unitary_basis_change(self):
+        # At tol 1e-6 the kernels still see the maps of W (1 + 1e-8) as fixing,
+        # while ||W†W - I||_F = 5.7e-8 is far past the factor threshold.
+        ch = collective_rotation(3)
+        structure = algebra._resolve(ch.operators, 1e-6, 0)
+        assert algebra._fixed_points(ch, structure, 1e-6).dim == 5
+        structure.basis_change = structure.basis_change * (1 + 1e-8)
+        with pytest.raises(DimensionMismatchError, match="factor rule"):
+            algebra._fixed_points(ch, structure, 1e-6)
+
     def test_fixed_points_of_a_strict_contraction(self):
         # Phi(X) = X / 4 fixes only 0.
         space = fixed_point_set(KrausChannel([np.eye(2) / 2]))
@@ -229,9 +256,9 @@ class TestOneArrayLayout:
         assert space.contains(stack[0]) is True
 
     def test_commutant_peak_memory(self):
-        # At d = N^2 the peak is the basis plus two arrays of its size (its
-        # conjugate and the Gram matrix, then the Gram matrix and the identity
-        # rule's copy of it): about 3x the basis.
+        # The basis is certified through W†W, so no d x d Gram matrix is
+        # formed and the peak is about the basis itself;
+        # test_emitted_bases_peak_near_their_size holds it to 1.5x.
         tracemalloc.start()
         try:
             space = commutant([np.eye(24)])
@@ -240,6 +267,25 @@ class TestOneArrayLayout:
             tracemalloc.stop()
         assert space.dim == 576
         assert peak <= 4 * space.basis.nbytes
+
+    def test_emitted_bases_peak_near_their_size(self):
+        # d = N^2 = 576: the commutant of the identity, and the interaction
+        # algebra M_24 of two Haar unitaries.  Only the basis is d N^2 in size.
+        rng = np.random.default_rng(3)
+        u, v = haar_random_unitary(24, rng), haar_random_unitary(24, rng)
+        builds = {
+            "commutant": lambda: commutant([np.eye(24)]),
+            "interaction_algebra": lambda: interaction_algebra(KrausChannel([u / math.sqrt(2), v / math.sqrt(2)])),
+        }
+        for name, build in builds.items():
+            tracemalloc.start()
+            try:
+                space = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert space.dim == 576, name
+            assert peak <= 1.5 * space.basis.nbytes, name
 
     def test_fixed_points_in_block_coordinates(self):
         # N = 64: the superoperator alone would be 256 MiB; the block maps

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchannel import algebra
 from qchannel.algebra import (
     OperatorSpace,
     commutant,
@@ -24,12 +25,14 @@ from qchannel.algebra import (
     wedderburn_structure,
 )
 from qchannel.channels import KrausChannel, amplitude_damping, permutation_unitary, random_unitary_channel
-from qchannel.errors import SchemaError
+from qchannel.errors import DimensionMismatchError, SchemaError
 from qchannel.linalg import (
+    STRUCTURAL_TOL,
     complete_isometry,
     dagger,
     frob,
     haar_random_unitary,
+    is_identity,
     kron_chain,
     null_space_basis,
     polar,
@@ -555,6 +558,69 @@ def test_commutant_of_non_normal_generators(r, copies, seed):
     space = commutant(gens)
     assert spaces_equal(space, _reference_commutant(gens))
     assert space.dim == copies * copies
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3).filter(
+        lambda b: sum(m * n for m, n in b) <= 10
+    ),
+    st.sampled_from(["algebra", "commutant"]),
+    st.booleans(),
+    SEEDS,
+)
+def test_factor_rule_implies_the_gram_rule(blocks, which, scalar, seed):
+    # W (I + t H) with H = I (which makes the bound tight for M_N) or a random
+    # unit PSD H, with t bisected onto the last accepted factors: there
+    # ||W†W - I||_F is the threshold in the docstring of
+    # algebra._certify_factors (eta = 0), the emitted basis passes the Gram
+    # rule of OperatorSpace, and just past it the factors are refused.
+    rng = np.random.default_rng(seed)
+    n = sum(m * k for m, k in blocks)
+    offsets = np.cumsum([0] + [m * k for m, k in blocks[:-1]]).tolist()
+    w = haar_random_unitary(n, rng)
+    if scalar:
+        h = np.eye(n)
+    else:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = a @ dagger(a) / frob(a @ dagger(a))
+    emitted = {"algebra": blocks, "commutant": [(k, m) for m, k in blocks]}[which]
+    dim = sum(k * k for _, k in emitted)
+    rho = min(n, dim)
+    budget = STRUCTURAL_TOL * dim / 2
+    threshold = budget / (np.sqrt(rho) + np.sqrt(rho + budget))
+
+    def factors(t):
+        # the commutant's basis change is a column permutation of W's
+        structure = algebra.AlgebraStructure(blocks, w @ (np.eye(n) + t * h), offsets)
+        return structure if which == "algebra" else algebra._commutant_structure(structure)
+
+    def span(t):
+        return algebra._pattern_span(factors(t), which)
+
+    def accepted(t):
+        try:
+            span(t)
+        except DimensionMismatchError:
+            return False
+        return True
+
+    lo, hi = 0.0, 1e-6
+    assert accepted(lo) and not accepted(hi)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    # rounding in ||W†W - I||_F is about N ulps, against a threshold of at least 2e-11
+    w_lo = factors(lo).basis_change
+    eps = frob(dagger(w_lo) @ w_lo - np.eye(n))
+    assert eps == pytest.approx(threshold, rel=1e-3)
+    space = span(lo)
+    gram = space.vecs.conj() @ space.vecs.T
+    assert space.dim == dim and is_identity(gram, STRUCTURAL_TOL)
+    # the bound the rule rests on, with room for rounding in the Gram product
+    assert frob(gram - np.eye(dim)) <= 2 * np.sqrt(rho) * eps + eps**2 + 1e-14 * dim
+    with pytest.raises(DimensionMismatchError, match="factor rule"):
+        span(hi)
 
 
 @settings(deadline=None, max_examples=30)
